@@ -20,6 +20,9 @@ from . import codec, datasets, descriptor, engine, network, retrieval, train
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
 
+# NumPy keeps error settings per thread, so worker threads enter these too
+_NUMERIC_ERRORS = dict(over="raise", invalid="raise", divide="raise", under="ignore")
+
 PIPELINES = ("nip", "rnip-5x", "rnip-14x")
 
 
@@ -117,7 +120,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--precision", default="real", choices=list(descriptor.PRECISIONS))
     p.add_argument("--no-rotations", action="store_true",
                    help="rnip only: skip the rotation orbit")
-    p.add_argument("--jobs", type=int, default=int(os.environ.get("QNIP_JOBS", "1")),
+    # argparse applies type=int to a str default: a bad $QNIP_JOBS is a usage error
+    p.add_argument("--jobs", type=int, default=os.environ.get("QNIP_JOBS", "1"),
                    help="worker cap (default $QNIP_JOBS or 1)")
     p.add_argument("--out", required=True)
 
@@ -270,12 +274,13 @@ def _cmd_extract(args) -> int:
             net, weights, (descriptor.sized_input(net, im) for im in images.values()))
 
     def one(image):
-        if args.kind == "nip":
-            d = descriptor.extract_nip(net, weights, image, args.mode, levels, exps)
-        else:
-            d = descriptor.extract_rnip(net, weights, image, args.mode, levels,
-                                        not args.no_rotations, exps)
-        return descriptor.convert_descriptor(d, args.precision)
+        with np.errstate(**_NUMERIC_ERRORS):
+            if args.kind == "nip":
+                d = descriptor.extract_nip(net, weights, image, args.mode, levels, exps)
+            else:
+                d = descriptor.extract_rnip(net, weights, image, args.mode, levels,
+                                            not args.no_rotations, exps)
+            return descriptor.convert_descriptor(d, args.precision)
 
     names = list(images)
     if args.jobs > 1:
@@ -396,11 +401,8 @@ def dispatch(argv) -> int:
         args = parser.parse_args(argv)
         if not args.verb:
             raise _UsageError("missing verb; try --help")
-        np.seterr(over="raise", invalid="raise", divide="raise", under="ignore")
-        try:
+        with np.errstate(**_NUMERIC_ERRORS):
             return _HANDLERS[args.verb](args)
-        finally:
-            np.seterr(all="warn")
     except _UsageError as err:
         _say(str(err))
         return EXIT_USAGE

@@ -267,8 +267,7 @@ def load_descriptors(path) -> dict[str, Descriptor]:
         data = fh.read()
     if data[:4] != DESC_MAGIC:
         raise ValueError(f"{path}: not a descriptor file (bad magic)")
-    dim, count = struct.unpack_from("<HI", data, 4)
-    offset = 10
+    offset = 4
     out: dict[str, Descriptor] = {}
 
     def take(n: int, what: str) -> bytes:
@@ -279,6 +278,7 @@ def load_descriptors(path) -> dict[str, Descriptor]:
         offset += n
         return chunk
 
+    dim, count = struct.unpack("<HI", take(6, "header"))
     for _ in range(count):
         (id_len,) = struct.unpack("<H", take(2, "id length"))
         name = take(id_len, "id").decode()

@@ -12,6 +12,15 @@ integer      — emulates a fixed-point datapath: activations live on an
                is carried at 64 bits), and bias add + requantization are
                exact integer shifts with half-away rounding.
 
+Every mode, and calibration, runs one layer walk (_walk) over a model
+that _prepare builds once per call: an input map (identity, or 8-bit
+quantization at the input exponent), one conv + ReLU step per conv layer
+(float conv on float or dequantized weights, or the int64 im2col GEMM
+with integer weights, shifts and shifted bias precomputed), the dense
+head, and the value of one activation unit after the input and after
+each conv (1.0 in the float modes, 2**(p-8) in integer mode), applied at
+the tap and at flatten. Calibration walks the dequantized preparation.
+
 Dense layers get ReLU between them but not after the last one (raw
 logits). Integer mode converts the feature map back to floats at the
 flatten boundary and runs any dense head in float — the compression
@@ -19,13 +28,15 @@ scheme only covers the 3x3 conv stack.
 """
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from . import ops
 from .codec import CompressedModel, dequantized_float_model
 from .network import (ConvSpec, DenseSpec, FlattenSpec, FloatModel,
                       NetworkDefinition, PoolSpec, check_model_matches)
-from .quantize import compute_layer_shift, mask_levels, round_half_away
+from .quantize import QuantizedLayer, compute_layer_shift, mask_levels, round_half_away
 
 MODES = ("float", "dequantized", "integer")
 
@@ -55,36 +66,11 @@ def _check_image(net: NetworkDefinition, image: np.ndarray) -> np.ndarray:
     return image
 
 
-def _run_float(net: NetworkDefinition, model: FloatModel, image: np.ndarray,
-               collect_max: bool = False):
-    x = image
-    tap = None
-    maxima = []
-    conv_i = dense_i = 0
-    vec = None
-    for spec in net.layers:
-        if isinstance(spec, ConvSpec):
-            w, b = model.conv[conv_i]
-            x = ops.relu(ops.conv2d(x, w, b, spec.stride, spec.padding))
-            if collect_max:
-                maxima.append(float(x.max()))
-            if conv_i == net.tap_index:
-                tap = x
-            conv_i += 1
-        elif isinstance(spec, PoolSpec):
-            x = ops.maxpool2x2(x)
-        elif isinstance(spec, FlattenSpec):
-            vec = x.reshape(-1)
-        elif isinstance(spec, DenseSpec):
-            w, b = model.dense[dense_i]
-            if dense_i > 0:
-                vec = ops.relu(vec)
-            vec = ops.fully_connected(vec, w, b)
-            dense_i += 1
-    logits = vec if dense_i else None
-    if collect_max:
-        return tap, logits, maxima
-    return tap, logits
+class _Prepared(NamedTuple):
+    entry: Callable[[np.ndarray], np.ndarray]        # image -> first activation map
+    convs: list[Callable[[np.ndarray], np.ndarray]]  # per conv: map -> post-ReLU map
+    scales: list[float]  # value of one activation unit: input, then each conv's output
+    dense: list[tuple[np.ndarray, np.ndarray]]
 
 
 def _quantize_activation(x: np.ndarray, p: int) -> np.ndarray:
@@ -92,55 +78,69 @@ def _quantize_activation(x: np.ndarray, p: int) -> np.ndarray:
     return np.minimum(q, ACT_MAX).astype(np.int64)
 
 
-def _shift_round(v: np.ndarray, s: int) -> np.ndarray:
-    """Divide non-negative integers by 2**s, rounding half up (exact)."""
-    if s == 0:
-        return v
-    return (v + (1 << (s - 1))) >> s
+def _float_conv(spec: ConvSpec, w: np.ndarray, b: np.ndarray):
+    return lambda x: ops.relu(ops.conv2d(x, w, b, spec.stride, spec.padding))
 
 
-def _run_integer(net: NetworkDefinition, model: CompressedModel, image: np.ndarray,
-                 exponents: list[int]):
-    check_accumulator_bounds(net, model.profile)
-    if len(exponents) != len(model.layers) + 1:
+def _integer_conv(spec: ConvSpec, layer: QuantizedLayer, p_in: int, p_out: int):
+    """Conv + ReLU from the p_in activation grid to the p_out grid, in exact integers."""
+    # integer weights: scalar mantissa times mask, worth a*M * 2**(e-8)
+    w_int = (layer.scalars.astype(np.int64)[:, :, None]
+             * layer.masks.astype(np.int64)).reshape(layer.shape.out_channels, -1)
+    e1 = layer.shift + p_in - p_out - 8    # accumulator -> p_out grid
+    e2 = layer.shift - p_out               # bias -> p_out grid
+    s = max(0, -e1, -e2)
+    bias = layer.biases.astype(np.int64)[:, None] << (e2 + s)
+
+    def step(xq: np.ndarray) -> np.ndarray:
+        cols, (h, w) = ops.im2col(xq, spec.stride, spec.padding)
+        v = np.maximum(((w_int @ cols) << (e1 + s)) + bias, 0)
+        # exact division by 2**s, rounding half up (s = 0 adds 0 and shifts by 0)
+        return np.minimum((v + ((1 << s) >> 1)) >> s, ACT_MAX).reshape(-1, h, w)
+    return step
+
+
+def _prepare(net: NetworkDefinition, weights, mode: str,
+             act_exponents: list[int] | None = None) -> _Prepared:
+    if mode != "integer":
+        model = weights if mode == "float" else dequantized_float_model(weights)
+        convs = [_float_conv(spec, w, b) for spec, (w, b) in zip(net.conv_specs, model.conv)]
+        return _Prepared(lambda x: x, convs, [1.0] * (len(convs) + 1), model.dense)
+    check_accumulator_bounds(net, weights.profile)
+    if len(act_exponents) != len(weights.layers) + 1:
         raise ValueError(
-            f"need {len(model.layers) + 1} activation exponents "
-            f"(input plus one per conv), got {len(exponents)}")
-    p_in = int(exponents[0])
-    xq = _quantize_activation(image, p_in)
-    tap = None
-    vec = None
+            f"need {len(weights.layers) + 1} activation exponents "
+            f"(input plus one per conv), got {len(act_exponents)}")
+    p = [int(e) for e in act_exponents]
+    convs = [_integer_conv(spec, layer, p_in, p_out) for spec, layer, p_in, p_out
+             in zip(net.conv_specs, weights.layers, p, p[1:])]
+    dense = [(np.asarray(w, np.float64), np.asarray(b, np.float64)) for w, b in weights.dense]
+    return _Prepared(lambda x: _quantize_activation(x, p[0]), convs,
+                     [2.0 ** (e - 8) for e in p], dense)
+
+
+def _walk(net: NetworkDefinition, prepared: _Prepared, image: np.ndarray, peaks=None):
+    """(tap, logits) of one image; raises peaks[i + 1] to conv i's output max."""
+    x = prepared.entry(image)
+    tap = vec = None
     conv_i = dense_i = 0
     for spec in net.layers:
         if isinstance(spec, ConvSpec):
-            layer = model.layers[conv_i]
-            p_out = int(exponents[conv_i + 1])
-            # integer weights: scalar mantissa times mask, worth a*M * 2**(e-8)
-            w_int = (layer.scalars.astype(np.int64)[:, :, None]
-                     * layer.masks.astype(np.int64))
-            cols, (h, w) = ops.im2col(xq, spec.stride, spec.padding)
-            acc = w_int.reshape(layer.shape.out_channels, -1) @ cols
-            e = layer.shift
-            e1 = e + p_in - p_out - 8          # accumulator -> p_out grid
-            e2 = e - p_out                     # bias -> p_out grid
-            s = max(0, -e1, -e2)
-            v = (acc << (e1 + s)) + (layer.biases.astype(np.int64)[:, None] << (e2 + s))
-            xq = np.minimum(_shift_round(np.maximum(v, 0), s), ACT_MAX)
-            xq = xq.reshape(layer.shape.out_channels, h, w)
+            x = prepared.convs[conv_i](x)
+            if peaks is not None:
+                peaks[conv_i + 1] = np.maximum(peaks[conv_i + 1], x.max())
             if conv_i == net.tap_index:
-                tap = xq.astype(np.float64) * 2.0 ** (p_out - 8)
-            p_in = p_out
+                tap = x * prepared.scales[conv_i + 1]
             conv_i += 1
         elif isinstance(spec, PoolSpec):
-            xq = ops.maxpool2x2(xq)
+            x = ops.maxpool2x2(x)
         elif isinstance(spec, FlattenSpec):
-            vec = xq.reshape(-1).astype(np.float64) * 2.0 ** (p_in - 8)
+            vec = x.reshape(-1) * prepared.scales[conv_i]
         elif isinstance(spec, DenseSpec):
-            w, b = model.dense[dense_i]
+            w, b = prepared.dense[dense_i]
             if dense_i > 0:
                 vec = ops.relu(vec)
-            vec = ops.fully_connected(vec, np.asarray(w, np.float64),
-                                      np.asarray(b, np.float64))
+            vec = ops.fully_connected(vec, w, b)
             dense_i += 1
     return tap, (vec if dense_i else None)
 
@@ -154,14 +154,13 @@ def calibrate_activation_exponents(net: NetworkDefinition, model: CompressedMode
     the smallest e with max < 2**e (same rule as the weight shift).
     Returns [input_exponent, conv1, ..., convN].
     """
-    floats = dequantized_float_model(model)
+    prepared = _prepare(net, model, "dequantized")
     peaks = np.zeros(len(model.layers) + 1)
     count = 0
     for image in images:
         image = _check_image(net, image)
         peaks[0] = max(peaks[0], float(np.abs(image).max()))
-        _, _, maxima = _run_float(net, floats, image, collect_max=True)
-        peaks[1:] = np.maximum(peaks[1:], maxima)
+        _walk(net, prepared, image, peaks)
         count += 1
     if count == 0:
         raise ValueError("calibration needs at least one image")
@@ -182,16 +181,13 @@ def forward(net: NetworkDefinition, weights, image: np.ndarray, mode: str = "flo
         if not isinstance(weights, FloatModel):
             raise TypeError("float mode needs a FloatModel")
         check_model_matches(net, weights)
-        return _run_float(net, weights, image)
-    if not isinstance(weights, CompressedModel):
+    elif not isinstance(weights, CompressedModel):
         raise TypeError(f"{mode} mode needs a CompressedModel")
-    if weights.network != net:
+    elif weights.network != net:
         raise ValueError("compressed model was built for a different architecture")
-    if mode == "dequantized":
-        return _run_float(net, dequantized_float_model(weights), image)
-    if act_exponents is None:
+    elif mode == "integer" and act_exponents is None:
         act_exponents = calibrate_activation_exponents(net, weights, [image])
-    return _run_integer(net, weights, image, act_exponents)
+    return _walk(net, _prepare(net, weights, mode, act_exponents), image)
 
 
 def classify(net: NetworkDefinition, weights, image: np.ndarray, mode: str = "float",

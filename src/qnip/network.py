@@ -305,6 +305,8 @@ def load_float_model(path) -> FloatModel:
         data = fh.read()
     if data[:4] != FLOAT_MAGIC:
         raise ValueError(f"{path}: not a float model file (bad magic)")
+    if len(data) < 8:
+        raise ValueError(f"{path}: truncated at byte 4 reading header")
     n_conv, n_dense = struct.unpack_from("<HH", data, 4)
     offset = 8
     arrays = []
@@ -322,6 +324,8 @@ def load_float_model(path) -> FloatModel:
             raise ValueError(f"{path}: truncated at byte {offset}")
         arrays.append(np.frombuffer(data, np.float64, count, offset).reshape(shape).copy())
         offset += 8 * count
+    if offset != len(data):
+        raise ValueError(f"{path}: {len(data) - offset} trailing bytes")
     model = FloatModel()
     for i in range(n_conv):
         model.conv.append((arrays[2 * i], arrays[2 * i + 1]))

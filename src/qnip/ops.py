@@ -126,12 +126,13 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def maxpool2x2(x: np.ndarray) -> np.ndarray:
-    """Non-overlapping 2x2 max pooling; spatial dims must be even."""
+    """Non-overlapping 2x2 max pooling, any dtype; spatial dims must be even."""
     _require_chw(x)
-    c, h, w = x.shape
+    h, w = x.shape[1:]
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2x2 needs even spatial dims, got {h}x{w}")
-    return x.reshape(c, h // 2, 2, w // 2, 2).max(axis=(2, 4))
+    return np.maximum(np.maximum(x[:, 0::2, 0::2], x[:, 0::2, 1::2]),
+                      np.maximum(x[:, 1::2, 0::2], x[:, 1::2, 1::2]))
 
 
 def fully_connected(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:

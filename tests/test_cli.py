@@ -5,6 +5,7 @@ import pytest
 
 from qnip.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, dispatch
 from qnip.datasets import make_brightness_dataset, make_retrieval_corpus, write_corpus, write_labeled_dataset
+from qnip.network import load_float_model, save_float_model
 from qnip.retrieval import write_ground_truth
 
 NET_TEXT = """\
@@ -61,7 +62,26 @@ def test_data_errors_exit_2(ws, capsys):
                      "--image", str(ws["corpus"] / "1000.img")]) == EXIT_DATA
     assert dispatch(["quantize", "--net", str(ws["net"]), "--weights", str(ws["weights"]),
                      "--profile", "3x9", "--out", "/tmp/x.qcm"]) == EXIT_DATA
-    capsys.readouterr()
+    # files cut inside their fixed header
+    short_qfw = ws["root"] / "short.qfw"
+    short_qfw.write_bytes(ws["weights"].read_bytes()[:6])
+    assert dispatch(["quantize", "--net", str(ws["net"]), "--weights", str(short_qfw),
+                     "--profile", "3x2", "--out", str(ws["root"] / "short.qcm")]) == EXIT_DATA
+    short_qds = ws["root"] / "short.qds"
+    short_qds.write_bytes(b"QDS1\x02\x00\x01")
+    assert dispatch(["index", "--desc", str(short_qds),
+                     "--out", str(ws["root"] / "short_index.qds")]) == EXIT_DATA
+    assert "truncated at byte 4" in capsys.readouterr().err
+
+
+def test_bad_jobs_environment_is_usage_error_of_extract_only(ws, monkeypatch, capsys):
+    monkeypatch.setenv("QNIP_JOBS", "abc")
+    assert dispatch(["ratio", "--mask-bits", "3"]) == EXIT_OK
+    out = ws["root"] / "jobs.qds"
+    assert dispatch(["extract", "--net", str(ws["net"]), "--weights", str(ws["weights"]),
+                     "--images", str(ws["corpus"]), "--out", str(out)]) == EXIT_USAGE
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_numeric_failure_exits_3(ws, capsys):
@@ -72,6 +92,20 @@ def test_numeric_failure_exits_3(ws, capsys):
     assert rc == EXIT_NUMERIC
     assert not out.exists()
     capsys.readouterr()
+
+
+def test_extract_overflow_exits_3_for_any_job_count(ws, capsys):
+    model = load_float_model(ws["weights"])
+    model.conv = [(w * 1e200, b) for w, b in model.conv]
+    huge = ws["root"] / "huge.qfw"
+    save_float_model(huge, model)
+    for jobs in ("1", "2"):
+        out = ws["root"] / f"huge{jobs}.qds"
+        assert dispatch(["extract", "--net", str(ws["net"]), "--weights", str(huge),
+                         "--images", str(ws["corpus"]), "--jobs", jobs,
+                         "--out", str(out)]) == EXIT_NUMERIC, f"--jobs {jobs}"
+        assert "overflow" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_train_writes_metrics_and_is_deterministic(ws):

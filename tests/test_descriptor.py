@@ -254,6 +254,10 @@ def test_load_descriptors_errors(tmp_path):
     truncated.write_bytes(bytes(data[:-3]))
     with pytest.raises(ValueError):
         load_descriptors(truncated)
+    # a header cut short used to escape as struct.error
+    truncated.write_bytes(bytes(data[:7]))
+    with pytest.raises(ValueError, match="truncated at byte 4 reading header"):
+        load_descriptors(truncated)
 
     trailing = tmp_path / "trail.qds"
     trailing.write_bytes(bytes(data) + b"\x00")

@@ -1,5 +1,8 @@
 """Inference engine: mode agreement, integer arithmetic, classification."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -54,6 +57,71 @@ def test_integer_mode_tracks_dequantized_mode():
         assert np.max(np.abs(tap_i - tap_d)) <= 16 * step
         agree += int(np.argmax(logits_i) == np.argmax(logits_d))
     assert agree >= 18
+
+
+def integer_codes_loops(net, model, image, exponents):
+    """Integer-mode activation codes of each conv, one output pixel at a time.
+
+    Exact rationals, deliberately independent of im2col and the engine's
+    shifts: each pixel is an integer MAC of activation codes with
+    scalar * mask weights, plus the bias, rescaled to the output grid,
+    then ReLU, rounding half up and clipping at 255.
+    """
+    def code(value):
+        return min(math.floor(max(value, 0) + Fraction(1, 2)), 255)
+
+    p_in, layers = exponents[0], []
+    x = [[[code(Fraction(float(v)) * Fraction(2) ** (8 - p_in)) for v in row]
+          for row in plane] for plane in image]
+    for spec, layer, p_out in zip(net.conv_specs, model.layers, exponents[1:]):
+        scalars, masks, biases = (layer.scalars.tolist(), layer.masks.tolist(),
+                                  layer.biases.tolist())
+        pad, stride = spec.padding, spec.stride
+        h, w = len(x[0]), len(x[0][0])
+
+        def at(c, i, j):
+            i, j = i - pad, j - pad
+            return x[c][i][j] if 0 <= i < h and 0 <= j < w else 0
+
+        act_unit = Fraction(2) ** (p_in - 8)
+        weight_unit = Fraction(2) ** (layer.shift - 8)
+        out_unit = Fraction(2) ** (p_out - 8)
+        x = [[[code((sum(scalars[o][c] * masks[o][c][3 * di + dj]
+                         * at(c, i * stride + di, j * stride + dj)
+                         for c in range(len(x)) for di in range(3) for dj in range(3))
+                     * act_unit + biases[o]) * weight_unit / out_unit)
+               for j in range((w + 2 * pad - 3) // stride + 1)]
+              for i in range((h + 2 * pad - 3) // stride + 1)]
+             for o in range(layer.shape.out_channels)]
+        p_in = p_out
+        layers.append(np.array(x, dtype=np.int64))
+    return layers
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_integer_mode_matches_pixel_loop_oracle(m):
+    # a padded layer, a stride-2 layer, then the tap
+    net, model = _net_and_model(
+        seed=10 + m, text="input 2 9 9\nconv 3 pad=1\nconv 4 stride=2\nconv 3 pad=1 tap\n")
+    compressed = build_compressed_model(net, model, [m, m, m])
+    image = _images(1, shape=(2, 9, 9), seed=110 + m)[0]
+    calibrated = calibrate_activation_exponents(net, compressed, [image])
+    settings = {
+        "calibrated": calibrated,
+        # conv exponents too small: the largest outputs clip at 255
+        "clipping": calibrated[:1] + [p - 2 for p in calibrated[1:]],
+        # p_in - p_out = 15 lets conv1 and conv3 requantize without a
+        # rounding shift; conv2 shifts right by more than 20 bits
+        "extreme grids": [7, -8, 7, -8],
+    }
+    for name, exponents in settings.items():
+        codes = integer_codes_loops(net, compressed, image, exponents)
+        expected = codes[-1].astype(np.float64) * 2.0 ** (exponents[-1] - 8)
+        tap, _ = forward(net, compressed, image, mode="integer", act_exponents=exponents)
+        assert tap.dtype == expected.dtype and tap.shape == expected.shape, name
+        assert tap.tobytes() == expected.tobytes(), name
+        if name != "calibrated":
+            assert any((c == 255).any() for c in codes), name
 
 
 def test_integer_mode_is_deterministic():

@@ -153,6 +153,17 @@ def test_load_float_model_rejects_garbage(tmp_path):
     with pytest.raises(ValueError):
         load_float_model(path)
 
+    good = tmp_path / "good.qfw"
+    save_float_model(good, init_float_model(parse_network(TOY_TEXT), np.random.default_rng(7)))
+    data = good.read_bytes()
+    # a header cut short used to escape as struct.error
+    path.write_bytes(data[:6])
+    with pytest.raises(ValueError, match="truncated at byte 4"):
+        load_float_model(path)
+    path.write_bytes(data + b"\x00")
+    with pytest.raises(ValueError, match="1 trailing bytes"):
+        load_float_model(path)
+
 
 def test_model_checksum_sensitive_to_single_weight():
     net = parse_network(TOY_TEXT)

@@ -46,7 +46,7 @@ def conv2d_loops(x, weights, bias, stride=1, padding=0):
 
 def maxpool_loops(x):
     c, h, w = x.shape
-    out = np.zeros((c, h // 2, w // 2))
+    out = np.zeros((c, h // 2, w // 2), dtype=x.dtype)
     for ch in range(c):
         for i in range(h // 2):
             for j in range(w // 2):
@@ -126,8 +126,15 @@ def test_maxpool_matches_loop_reference():
         c = int(rng.integers(1, 5))
         h = 2 * int(rng.integers(1, 6))
         w = 2 * int(rng.integers(1, 6))
-        x = rng.normal(size=(c, h, w))
-        assert np.array_equal(maxpool2x2(x), maxpool_loops(x))
+        # float64 and int64 maps (integer mode pools codes), with and
+        # without tied windows
+        for x in (rng.normal(size=(c, h, w)),
+                  rng.integers(0, 3, size=(c, h, w)).astype(np.float64),
+                  rng.integers(0, 256, size=(c, h, w)),
+                  rng.integers(0, 2, size=(c, h, w))):
+            pooled = maxpool2x2(x)
+            assert pooled.dtype == x.dtype
+            assert np.array_equal(pooled, maxpool_loops(x))
 
 
 def test_maxpool_rejects_odd_dims():
