@@ -50,6 +50,16 @@ def _load_weights(path):
     raise ValueError(f"{path}: neither a float-weights nor a compressed-model file")
 
 
+def _worker_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid worker count {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"worker count must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qnip", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="verb", metavar="VERB")
@@ -120,8 +130,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--precision", default="real", choices=list(descriptor.PRECISIONS))
     p.add_argument("--no-rotations", action="store_true",
                    help="rnip only: skip the rotation orbit")
-    # argparse applies type=int to a str default: a bad $QNIP_JOBS is a usage error
-    p.add_argument("--jobs", type=int, default=os.environ.get("QNIP_JOBS", "1"),
+    # argparse applies type to a str default: a bad $QNIP_JOBS is a usage error
+    p.add_argument("--jobs", type=_worker_count, default=os.environ.get("QNIP_JOBS", "1"),
                    help="worker cap (default $QNIP_JOBS or 1)")
     p.add_argument("--out", required=True)
 

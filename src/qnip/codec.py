@@ -423,8 +423,10 @@ def decode(data: bytes) -> CompressedModel:
             masks=masks.reshape(out, cin, KERNEL_WEIGHTS).copy(),
             biases=biases.copy(),
         ))
-    if len(_dense_shapes(net)) != len(dense):
-        raise CorruptionError("dense head count disagrees with architecture")
+    expected, stored = _dense_shapes(net), [w.shape for w, _ in dense]
+    if stored != expected:
+        raise CorruptionError(
+            f"dense head shapes {stored} disagree with architecture {expected}")
     return CompressedModel(net, layers, dense, policy, source)
 
 

@@ -1,9 +1,21 @@
 """Nearest-neighbour search over descriptors and retrieval scoring.
 
-Real and byte descriptors are ranked by cosine similarity (byte payloads
-are dequantized through their stored scale first); bit descriptors by
-Hamming distance. Ties always break toward the lexicographically smaller
-id so rankings are reproducible.
+Real and byte descriptors are ranked by cosine similarity, bit
+descriptors by Hamming distance. build_index packs the descriptors once
+into one row matrix in sorted-id order: float64 rows for real, the
+stored uint8 codes for byte (cosine ignores a positive per-row scale; a
+row with scale 0 dequantizes to zeros and is zeroed), and the 0/1 flags
+for bit, plus each row's L2 norm. search then scores every row in one
+vectorised pass and ranks them with one stable sort.
+
+Ties break toward the lexicographically smaller id so rankings are
+reproducible. Exact duplicate rows always get identical scores: the
+cosine dot products come from np.einsum, which sums every row in the
+same order (a BLAS matrix-vector product need not, and would split
+exact ties by row position). Cosine scores agree with the per-pair
+formula a@b / (|a| |b|) to within an ulp or so, so two entries whose
+scores lie that close may rank in either order; Hamming scores and
+rankings are exact.
 
 Datasets follow the numbered-filename convention: images whose stems
 share the same leading group number (all digits but the last two) are
@@ -20,19 +32,22 @@ from __future__ import annotations
 
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .descriptor import Descriptor, dequantize_descriptor
+from .descriptor import Descriptor
 
 IMAGE_MAGIC = b"IMG1"
 
 
-@dataclass
+@dataclass(eq=False)
 class RetrievalIndex:
     entries: dict[str, Descriptor]
+    ids: np.ndarray = field(repr=False)    # object array of the ids, sorted
+    rows: np.ndarray = field(repr=False)   # (N, D) packed descriptors, row i is ids[i]
+    norms: np.ndarray = field(repr=False)  # (N,) float64 L2 norm of each row
 
     @property
     def precision(self) -> str:
@@ -41,6 +56,31 @@ class RetrievalIndex:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+def _pack(names: list[str], descs: list[Descriptor]) -> np.ndarray:
+    """Stack the values of descriptors of one precision into scoring rows."""
+    precision = descs[0].precision
+    rows = np.stack([np.asarray(d.values) for d in descs])
+    if precision == "real":
+        rows = rows.astype(np.float64, copy=False)
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"real descriptor {names[int(np.argmin(finite))]!r} "
+                             f"holds non-finite values")
+    elif precision == "byte":
+        scales = np.array([d.scale or 0.0 for d in descs], np.float64)
+        bad = ~(np.isfinite(scales) & (scales >= 0.0))
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise ValueError(f"byte descriptor {names[row]!r} has scale {scales[row]}; "
+                             f"expected a finite value >= 0")
+        rows[scales == 0.0] = 0
+    return rows
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", rows, rows, dtype=np.float64))
 
 
 def build_index(descriptors: dict[str, Descriptor]) -> RetrievalIndex:
@@ -52,24 +92,10 @@ def build_index(descriptors: dict[str, Descriptor]) -> RetrievalIndex:
     dims = {d.dim for d in descriptors.values()}
     if len(dims) != 1:
         raise ValueError(f"descriptor lengths disagree: {sorted(dims)}")
-    return RetrievalIndex(dict(descriptors))
-
-
-def _comparable(desc: Descriptor) -> np.ndarray:
-    if desc.precision == "byte":
-        return dequantize_descriptor(desc)
-    return np.asarray(desc.values, dtype=np.float64)
-
-
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(a @ b) / (na * nb)
-
-
-def _hamming(a: np.ndarray, b: np.ndarray) -> int:
-    return int(np.count_nonzero(a != b))
+    names = sorted(descriptors)
+    rows = _pack(names, [descriptors[n] for n in names])
+    return RetrievalIndex(dict(descriptors), np.array(names, dtype=object), rows,
+                          _norms(rows))
 
 
 def search(index: RetrievalIndex, query: Descriptor, k: int | None = None,
@@ -79,26 +105,25 @@ def search(index: RetrievalIndex, query: Descriptor, k: int | None = None,
     if query.precision != index.precision:
         raise ValueError(
             f"query precision {query.precision!r} != index precision {index.precision!r}")
-    sample = next(iter(index.entries.values()))
-    if query.dim != sample.dim:
-        raise ValueError(f"query length {query.dim} != index length {sample.dim}")
-    bitwise = index.precision == "bit"
-    qv = None if bitwise else _comparable(query)
-    scored = []
-    for name, desc in index.entries.items():
-        if name == exclude:
-            continue
-        if bitwise:
-            score = _hamming(query.values, desc.values)
-        else:
-            score = _cosine(qv, _comparable(desc))
-        scored.append((name, score))
-    scored.sort(key=(lambda t: (t[1], t[0])) if bitwise else (lambda t: (-t[1], t[0])))
-    if k is not None:
-        if k < 1:
-            raise ValueError(f"k must be positive, got {k}")
-        scored = scored[:k]
-    return [(name, (float(s) if not bitwise else int(s))) for name, s in scored]
+    if query.dim != index.rows.shape[1]:
+        raise ValueError(f"query length {query.dim} != index length {index.rows.shape[1]}")
+    if k is not None and k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    q = _pack(["query"], [query])
+    if index.precision == "bit":
+        scores = np.count_nonzero(index.rows != q, axis=1)
+        order = np.argsort(scores, kind="stable")
+    else:
+        dots = np.einsum("ij,j->i", index.rows, q[0], dtype=np.float64)
+        denom = index.norms * _norms(q)[0]
+        scores = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0.0)
+        order = np.argsort(-scores, kind="stable")
+    if exclude is not None:
+        row = int(np.searchsorted(index.ids, exclude))
+        if row < len(index.ids) and index.ids[row] == exclude:
+            order = order[order != row]
+    order = order[:k]
+    return list(zip(index.ids[order].tolist(), scores[order].tolist()))
 
 
 def average_precision(ranked_ids, relevant) -> float:

@@ -84,6 +84,20 @@ def test_bad_jobs_environment_is_usage_error_of_extract_only(ws, monkeypatch, ca
     assert not out.exists()
 
 
+def test_nonpositive_jobs_is_usage_error(ws, monkeypatch, capsys):
+    base = ["extract", "--net", str(ws["net"]), "--weights", str(ws["weights"]),
+            "--images", str(ws["corpus"])]
+    out = ws["root"] / "nonpositive.qds"
+    for jobs in ("0", "-3"):
+        assert dispatch(base + ["--jobs", jobs, "--out", str(out)]) == EXIT_USAGE
+        assert "worker count must be >= 1" in capsys.readouterr().err
+        monkeypatch.setenv("QNIP_JOBS", jobs)
+        assert dispatch(base + ["--out", str(out)]) == EXIT_USAGE
+        assert "--jobs" in capsys.readouterr().err
+        monkeypatch.delenv("QNIP_JOBS")
+    assert not out.exists()
+
+
 def test_numeric_failure_exits_3(ws, capsys):
     out = ws["root"] / "diverged.qfw"
     rc = dispatch(["train", "--net", str(ws["net"]), "--data", str(ws["data"]),

@@ -209,6 +209,19 @@ def test_decode_shift_out_of_range():
         decode(bytes(data))
 
 
+def test_decode_rejects_reshaped_dense_head():
+    # a 3x8 head stored as 6x4 holds the same number of weights; decode
+    # must reject it rather than leave the mismatch for inference to find
+    rng = np.random.default_rng(28)
+    net = parse_network("input 1 4 4\nconv 2 tap\nflatten\ndense 3\n")
+    compressed = build_compressed_model(net, init_float_model(net, rng), [1])
+    assert decode(encode(compressed)) == compressed
+    w, _ = compressed.dense[0]
+    compressed.dense = [(w.reshape(6, 4), np.zeros(6, np.float32))]
+    with pytest.raises(CorruptionError, match="dense head shapes"):
+        decode(encode(compressed))
+
+
 def test_encode_validates_layers():
     layer = _hand_layer([1] * 9)
     layer.masks = np.array([[[2] * 9]], dtype=np.int8)  # out of range for m=1

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from qnip.descriptor import Descriptor, binarize_descriptor, quantize_descriptor
+from qnip.descriptor import (
+    Descriptor,
+    binarize_descriptor,
+    convert_descriptor,
+    dequantize_descriptor,
+    quantize_descriptor,
+)
 from qnip.retrieval import (
     average_precision,
     build_index,
@@ -113,6 +119,152 @@ def test_hamming_scores_are_integer_counts():
     ranked = search(index, a)
     assert ranked[0] == ("a", 0)
     assert ranked[1] == ("b", 2)
+
+
+# ---------------------------------------------------------------------------
+# search contract: the packed index against per-pair scoring
+
+def _oracle_search(entries, query, k=None, exclude=None):
+    """Per-pair reference: cosine a@b / (|a| |b|) on dequantized values
+    (0 when either norm is 0), or the Hamming distance for bit
+    descriptors; ranked by score, ties by id."""
+    def comparable(d):
+        if d.precision == "byte":
+            return dequantize_descriptor(d)
+        return np.asarray(d.values, dtype=np.float64)
+
+    bitwise = query.precision == "bit"
+    scored = []
+    for name, desc in entries.items():
+        if name == exclude:
+            continue
+        if bitwise:
+            score = int(np.count_nonzero(query.values != desc.values))
+        else:
+            a, b = comparable(query), comparable(desc)
+            na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+            score = 0.0 if na == 0.0 or nb == 0.0 else float(a @ b) / (na * nb)
+        scored.append((name, score))
+    scored.sort(key=(lambda t: (t[1], t[0])) if bitwise else (lambda t: (-t[1], t[0])))
+    return scored if k is None else scored[:k]
+
+
+def _fuzzed_entries(rng, precision, n, d):
+    """n descriptors, inserted in random order, with exact duplicate rows
+    that include the lowest and highest ids (the first and last rows of
+    an id-ordered matrix, where row-blocked kernels change their sum
+    order), one all-zero row and, for byte, one row with stored codes
+    but scale 0. Returns the entries, the groups of ids holding
+    identical rows and the ids of the rows that must score 0."""
+    values = rng.gamma(0.6, size=(n, d))
+    ids = [f"id{k:05d}" for k in range(n)]
+    picks = rng.permutation(np.arange(1, n - 3))
+    groups = [[0, n - 1], [n - 2, *picks[:2]], [n - 3, *picks[2:6]]]
+    for group in groups:
+        values[group] = values[group[0]]
+    values[picks[6]] = 0.0
+    entries = {}
+    for k in rng.permutation(n):
+        row = values[k]
+        real = Descriptor("real", row / max(float(np.linalg.norm(row)), 1e-300))
+        entries[ids[k]] = convert_descriptor(real, precision)
+    zero_ids = [ids[picks[6]]]
+    if precision == "byte":
+        zero_ids.append(ids[picks[7]])
+        entries[zero_ids[1]] = Descriptor("byte", entries[zero_ids[1]].values, scale=0.0)
+    return entries, [[ids[k] for k in g] for g in groups], zero_ids
+
+
+def _assert_tie_order(ranked, bitwise):
+    # ranked strictly by score, exact ties by increasing id
+    for (n1, s1), (n2, s2) in zip(ranked, ranked[1:]):
+        better = s1 < s2 if bitwise else s1 > s2
+        assert better or (s1 == s2 and n1 < n2), (n1, s1, n2, s2)
+
+
+@pytest.mark.parametrize("precision", ["real", "byte", "bit"])
+@pytest.mark.parametrize("n,d", [(37, 96), (101, 97), (64, 1), (203, 13), (1001, 33)])
+def test_search_matches_per_pair_oracle(precision, n, d):
+    rng = np.random.default_rng([44, n, d, len(precision)])
+    entries, groups, zero_ids = _fuzzed_entries(rng, precision, n, d)
+    index = build_index(entries)
+    bitwise = precision == "bit"
+    zero_query = convert_descriptor(Descriptor("real", np.zeros(d)), precision)
+    qids = [groups[1][0], *zero_ids, *rng.choice(sorted(entries), 3)]
+    for query, exclude in [*((entries[q], q) for q in qids), (zero_query, None)]:
+        got = search(index, query, exclude=exclude)
+        want = _oracle_search(entries, query, exclude=exclude)
+        _assert_tie_order(got, bitwise)
+        scores = dict(got)
+        for group in groups:
+            assert len({scores[g] for g in group if g != exclude}) == 1
+        if bitwise:
+            assert got == want
+            continue
+        ref = dict(want)
+        assert sorted(scores) == sorted(ref)
+        for (g, s), (w, _) in zip(got, want):
+            assert abs(s - ref[g]) <= 1e-12
+            assert abs(ref[g] - ref[w]) <= 1e-12
+        assert all(scores[z] == 0.0 for z in zero_ids if z != exclude)
+    # a zero query scores every row 0 and ranks by id alone
+    if not bitwise:
+        ranked = search(index, zero_query)
+        assert [s for _, s in ranked] == [0.0] * n
+        assert [name for name, _ in ranked] == sorted(entries)
+
+
+@pytest.mark.parametrize("precision", ["real", "byte"])
+def test_duplicate_rows_tie_exactly_at_any_position(precision):
+    # BLAS matrix-vector products can score identical rows differently by
+    # their position in the matrix; the index must not
+    rng = np.random.default_rng(45)
+    n, d = 10003, 97
+    values = rng.gamma(0.6, size=(n, d))
+    positions = [*range(8), *range(n - 8, n), *rng.choice(np.arange(8, n - 8), 24, replace=False)]
+    values[positions] = values[positions[0]]
+    ids = [f"{k:05d}" for k in range(n)]
+    entries = {ids[k]: convert_descriptor(Descriptor("real", values[k]), precision)
+               for k in rng.permutation(n)}
+    index = build_index(entries)
+    dup = {ids[p] for p in positions}
+    for query in (entries[ids[0]], entries[ids[int(rng.integers(n))]]):
+        ranked = search(index, query)
+        hits = [(name, s) for name, s in ranked if name in dup]
+        assert len({s for _, s in hits}) == 1
+        assert [name for name, _ in hits] == sorted(dup)
+        _assert_tie_order(ranked, bitwise=False)
+
+
+@pytest.mark.parametrize("precision", ["real", "byte", "bit"])
+def test_search_k_and_exclude_slice_the_full_ranking(precision):
+    rng = np.random.default_rng(46)
+    entries, _, _ = _fuzzed_entries(rng, precision, 51, 9)
+    index = build_index(entries)
+    qid = sorted(entries)[7]
+    full = search(index, entries[qid])
+    assert len(full) == 51
+    excluded = search(index, entries[qid], exclude=qid)
+    assert excluded == [pair for pair in full if pair[0] != qid]
+    assert search(index, entries[qid], exclude="not-an-id") == full
+    assert search(index, entries[qid], k=5) == full[:5]
+    assert search(index, entries[qid], k=5, exclude=qid) == excluded[:5]
+    assert search(index, entries[qid], k=500) == full
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            search(index, entries[qid], k=k)
+
+
+def test_build_index_rejects_non_finite_and_negative_scales():
+    with pytest.raises(ValueError, match="non-finite"):
+        build_index({"a": Descriptor("real", np.array([1.0, np.nan])),
+                     "b": Descriptor("real", np.array([1.0, 0.0]))})
+    for scale in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="scale"):
+            build_index({"a": Descriptor("byte", np.array([1, 2], np.uint8), scale=scale)})
+    index = build_index({"a": Descriptor("real", np.array([1.0, 0.0]))})
+    with pytest.raises(ValueError, match="non-finite"):
+        search(index, Descriptor("real", np.array([np.inf, 0.0])))
 
 
 def test_mean_average_precision_and_evaluate():
