@@ -279,9 +279,12 @@ def _cmd_extract(args) -> int:
     images, _ = retrieval.ingest_dataset(args.images)
 
     exps = None
-    if args.mode == "integer":
+    if args.mode == "integer":  # one grid for every input any extraction runs
         exps = engine.calibrate_activation_exponents(
-            net, weights, (descriptor.sized_input(net, im) for im in images.values()))
+            net, weights, (x for im in images.values()
+                           for inputs in descriptor.orbit_inputs(
+                               net, im, args.kind, levels, not args.no_rotations)
+                           for x in inputs))
 
     def one(image):
         with np.errstate(**_NUMERIC_ERRORS):

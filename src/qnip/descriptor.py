@@ -19,6 +19,10 @@ Two front ends feed that chain:
     whole feature map becomes one region. With crop_levels {1} the single
     crop is the identity, which collapses to extract_nip({1}) exactly.
 
+In integer mode without given activation exponents, both calibrate once
+over every net input they run (orbit_inputs), so all rotations share one
+activation grid.
+
 Descriptors exist in three precisions: real (float, unit L2 norm), byte
 (8-bit against a stored scale) and bit (1 bit per channel against the
 mean threshold).
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -138,6 +142,44 @@ def sized_input(net: NetworkDefinition, image: np.ndarray) -> np.ndarray:
     return image
 
 
+def orbit_inputs(net: NetworkDefinition, image: np.ndarray, kind: str = "nip",
+                 crop_levels: Iterable[int] = (1, 2),
+                 rotations: bool = True) -> Iterator[list[np.ndarray]]:
+    """The net inputs an extraction runs, one list per rotation, made lazily.
+
+    nip: each quarter turn of the sized image. rnip: every crop_levels
+    tile of each quarter turn (of the unrotated image only when rotations
+    is off), resized to the net input. Rotating the image only permutes
+    the rotations, so any statistic over all inputs, such as calibrated
+    activation exponents, is rotation invariant.
+    """
+    if kind == "nip":
+        image = sized_input(net, image)
+        return ([ops.rotate90(image, k)] for k in range(4))
+    image = np.asarray(image, dtype=np.float64)
+    if image.ndim != 3:
+        raise ops.ShapeError(f"image must be C,H,W, got {image.shape}")
+    if image.shape[0] != net.input_shape[0]:
+        raise ops.ShapeError(
+            f"image has {image.shape[0]} channels, net expects {net.input_shape[0]}")
+    rects = roi_grid(crop_levels)
+    in_h, in_w = net.input_shape[1], net.input_shape[2]
+    rotated = (ops.rotate90(image, k) for k in (range(4) if rotations else (0,)))
+    return ([ops.resize_bilinear(ops.crop(r, rect), in_h, in_w) for rect in rects]
+            for r in rotated)
+
+
+def _orbit_taps(net, weights, orbit, mode, act_exponents) -> list[list[np.ndarray]]:
+    """Tap maps of every orbit input; integer mode without exponents
+    calibrates them once over the whole orbit."""
+    if mode == "integer" and act_exponents is None:
+        orbit = list(orbit)
+        act_exponents = engine.calibrate_activation_exponents(
+            net, weights, [x for inputs in orbit for x in inputs])
+    return [[engine.forward(net, weights, x, mode, act_exponents)[0] for x in inputs]
+            for inputs in orbit]
+
+
 def extract_nip(net: NetworkDefinition, weights, image: np.ndarray,
                 mode: str = "float", roi_levels: Iterable[int] = (1, 2, 3),
                 act_exponents=None) -> Descriptor:
@@ -147,13 +189,9 @@ def extract_nip(net: NetworkDefinition, weights, image: np.ndarray,
     is already at the (square) net input size; other sizes are resized
     first, which is only approximately rotation-commutative.
     """
-    image = sized_input(net, image)
     rects = roi_grid(roi_levels)
-    sets = []
-    for k in range(4):
-        tap, _ = engine.forward(net, weights, ops.rotate90(image, k), mode, act_exponents)
-        sets.append([(tap, rect) for rect in rects])
-    return nip_pool(sets)
+    taps = _orbit_taps(net, weights, orbit_inputs(net, image, "nip"), mode, act_exponents)
+    return nip_pool([[(tap, rect) for rect in rects] for (tap,) in taps])
 
 
 def extract_rnip(net: NetworkDefinition, weights, image: np.ndarray,
@@ -166,24 +204,9 @@ def extract_rnip(net: NetworkDefinition, weights, image: np.ndarray,
     Crops are taken from the rotated original, so rotation invariance is
     bit-exact for any image size (when rotations is on).
     """
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 3:
-        raise ops.ShapeError(f"image must be C,H,W, got {image.shape}")
-    if image.shape[0] != net.input_shape[0]:
-        raise ops.ShapeError(
-            f"image has {image.shape[0]} channels, net expects {net.input_shape[0]}")
-    rects = roi_grid(crop_levels)
-    in_h, in_w = net.input_shape[1], net.input_shape[2]
-    sets = []
-    for k in range(4) if rotations else (0,):
-        rotated = ops.rotate90(image, k)
-        regions = []
-        for rect in rects:
-            sub = ops.resize_bilinear(ops.crop(rotated, rect), in_h, in_w)
-            tap, _ = engine.forward(net, weights, sub, mode, act_exponents)
-            regions.append((tap, FULL_FRAME))
-        sets.append(regions)
-    return nip_pool(sets)
+    orbit = orbit_inputs(net, image, "rnip", crop_levels, rotations)
+    taps = _orbit_taps(net, weights, orbit, mode, act_exponents)
+    return nip_pool([[(tap, FULL_FRAME) for tap in row] for row in taps])
 
 
 def quantize_descriptor(desc: Descriptor) -> Descriptor:

@@ -7,17 +7,17 @@ dequantized  — reconstructs alpha_hat * mask weights from a CompressedModel
 integer      — emulates a fixed-point datapath: activations live on an
                8-bit unsigned grid x ~ q * 2**(p-8) with a per-layer
                power-of-two exponent p from a calibration pass, conv MACs
-               run in wide integers (each in-channel's masked partial sum
-               fits 32 bits; the scalar-weighted cross-channel reduction
-               is carried at 64 bits), and bias add + requantization are
-               exact integer shifts with half-away rounding.
+               are exact integer sums (each in-channel's masked partial
+               sum fits 32 bits, the scalar-weighted total stays below
+               2**39) computed as a float64 GEMM, and bias add +
+               requantization are exact int64 shifts with half-up rounding.
 
 Every mode, and calibration, runs one layer walk (_walk) over a model
 that _prepare builds once per call: an input map (identity, or 8-bit
 quantization at the input exponent), one conv + ReLU step per conv layer
-(float conv on float or dequantized weights, or the int64 im2col GEMM
-with integer weights, shifts and shifted bias precomputed), the dense
-head, and the value of one activation unit after the input and after
+(float conv on float or dequantized weights, or the exact float64
+im2col GEMM with integer weights, shifts and shifted bias precomputed),
+the dense head, and the value of one activation unit after the input and after
 each conv (1.0 in the float modes, 2**(p-8) in integer mode), applied at
 the tap and at flatten. Calibration walks the dequantized preparation.
 
@@ -48,7 +48,9 @@ def check_accumulator_bounds(net: NetworkDefinition, profile) -> None:
     """Assert the fixed-point MAC cannot overflow, from shapes alone.
 
     Worst case per output pixel: in_channels * 9 products of an 8-bit
-    activation and an m-bit mask value must stay below 2**31.
+    activation and an m-bit mask value must stay below 2**31. With each
+    product also weighted by a scalar <= 255, the whole accumulator then
+    stays below 2**39 < 2**53, so the float64 GEMM computes it exactly.
     """
     for i, (shape, m) in enumerate(zip(net.conv_layer_shapes(), profile)):
         worst = shape.in_channels * ops.KERNEL_WEIGHTS * ACT_MAX * mask_levels(int(m))
@@ -84,9 +86,11 @@ def _float_conv(spec: ConvSpec, w: np.ndarray, b: np.ndarray):
 
 def _integer_conv(spec: ConvSpec, layer: QuantizedLayer, p_in: int, p_out: int):
     """Conv + ReLU from the p_in activation grid to the p_out grid, in exact integers."""
-    # integer weights: scalar mantissa times mask, worth a*M * 2**(e-8)
-    w_int = (layer.scalars.astype(np.int64)[:, :, None]
-             * layer.masks.astype(np.int64)).reshape(layer.shape.out_channels, -1)
+    # integer weights: scalar mantissa times mask, worth a*M * 2**(e-8), held
+    # as float64 so the MAC runs on BLAS; every product and partial sum is an
+    # integer below 2**39 (see check_accumulator_bounds), so the GEMM is exact
+    w_int = np.multiply(layer.scalars[:, :, None], layer.masks,
+                        dtype=np.float64).reshape(layer.shape.out_channels, -1)
     e1 = layer.shift + p_in - p_out - 8    # accumulator -> p_out grid
     e2 = layer.shift - p_out               # bias -> p_out grid
     s = max(0, -e1, -e2)
@@ -94,7 +98,8 @@ def _integer_conv(spec: ConvSpec, layer: QuantizedLayer, p_in: int, p_out: int):
 
     def step(xq: np.ndarray) -> np.ndarray:
         cols, (h, w) = ops.im2col(xq, spec.stride, spec.padding)
-        v = np.maximum(((w_int @ cols) << (e1 + s)) + bias, 0)
+        acc = (w_int @ cols.astype(np.float64)).astype(np.int64)
+        v = np.maximum((acc << (e1 + s)) + bias, 0)
         # exact division by 2**s, rounding half up (s = 0 adds 0 and shifts by 0)
         return np.minimum((v + ((1 << s) >> 1)) >> s, ACT_MAX).reshape(-1, h, w)
     return step

@@ -286,6 +286,6 @@ def dequantize_layer(layer: QuantizedLayer) -> tuple[np.ndarray, np.ndarray]:
     layer.validate()
     step = 2.0 ** (layer.shift - 8)
     alpha_hat = layer.scalars.astype(np.float64) * step
-    w = alpha_hat[:, :, None] * layer.masks.astype(np.float64)
+    w = np.multiply(alpha_hat[:, :, None], layer.masks, dtype=np.float64)
     out, cin = layer.shape.out_channels, layer.shape.in_channels
     return w.reshape(out, cin, 3, 3), layer.biases.astype(np.float64) * step

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from qnip.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, dispatch
+from qnip.codec import load_model
 from qnip.datasets import make_brightness_dataset, make_retrieval_corpus, write_corpus, write_labeled_dataset
-from qnip.network import load_float_model, save_float_model
-from qnip.retrieval import write_ground_truth
+from qnip.descriptor import load_descriptors
+from qnip.engine import calibrate_activation_exponents
+from qnip.network import load_float_model, load_network, save_float_model
+from qnip.ops import rotate90
+from qnip.retrieval import read_image, write_ground_truth
 
 NET_TEXT = """\
 input 3 16 16
@@ -275,3 +279,26 @@ def test_extract_rnip_and_bit_precision(ws, capsys):
     lines = capsys.readouterr().out.splitlines()
     # bit indexes report integer Hamming distances, not cosine floats
     assert "." not in lines[1].split(",")[-1]
+
+
+def test_extract_integer_nip_is_invariant_to_rotating_the_corpus(ws, capsys):
+    qcm = ws["root"] / "orbit.qcm"
+    assert dispatch(["quantize", "--net", str(ws["net"]), "--weights", str(ws["weights"]),
+                     "--profile", "3,1", "--out", str(qcm)]) == EXIT_OK
+    image = read_image(ws["corpus"] / "1000.img")
+    # the unrotated image alone calibrates a different grid than its rotation
+    net, model = load_network(ws["net"]), load_model(qcm)
+    assert (calibrate_activation_exponents(net, model, [image])
+            != calibrate_activation_exponents(net, model, [rotate90(image, 1)]))
+    descs = []
+    for k in (0, 1):
+        corpus = ws["root"] / f"orbit{k}"
+        write_corpus(corpus, {"1000": rotate90(image, k)})
+        out = ws["root"] / f"orbit{k}.qds"
+        with pytest.warns(UserWarning, match="single image"):
+            assert dispatch(["extract", "--net", str(ws["net"]), "--weights", str(qcm),
+                             "--images", str(corpus), "--mode", "integer",
+                             "--out", str(out)]) == EXIT_OK
+        descs.append(load_descriptors(out)["1000"])
+    assert descs[0] == descs[1]
+    capsys.readouterr()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qnip
+from qnip.codec import build_compressed_model
 from qnip.descriptor import (
     FULL_FRAME,
     Descriptor,
@@ -19,6 +20,7 @@ from qnip.descriptor import (
     save_descriptors,
     sized_input,
 )
+from qnip.engine import calibrate_activation_exponents
 from qnip.network import init_float_model, load_network, parse_network
 from qnip.ops import rotate90
 
@@ -121,6 +123,21 @@ def test_extract_nip_rotation_invariance():
     for k in (1, 2, 3):
         rotated = extract_nip(net, model, rotate90(image, k))
         assert np.array_equal(base.values, rotated.values)
+
+
+def test_extract_nip_integer_calibrates_once_over_the_orbit():
+    net, model = _toy_setup(seed=2)
+    compressed = build_compressed_model(net, model, [2, 2, 2])
+    rng = np.random.default_rng(40)
+    image = rng.uniform(0.0, 1.0, (3, 32, 32)) * np.linspace(0.2, 1.0, 32)[None, :, None]
+    orbit = [rotate90(image, k) for k in range(4)]
+    per_rotation = {tuple(calibrate_activation_exponents(net, compressed, [x])) for x in orbit}
+    assert len(per_rotation) > 1  # each rotation alone would pick its own grid
+    shared = calibrate_activation_exponents(net, compressed, orbit)
+    base = extract_nip(net, compressed, image, "integer")
+    assert base == extract_nip(net, compressed, image, "integer", act_exponents=shared)
+    for k in (1, 2, 3):
+        assert extract_nip(net, compressed, rotate90(image, k), "integer") == base
 
 
 def test_extract_rnip_level1_equals_nip_level1():

@@ -124,6 +124,32 @@ def test_integer_mode_matches_pixel_loop_oracle(m):
             assert any((c == 255).any() for c in codes), name
 
 
+def test_integer_mode_is_exact_at_vgg_width():
+    # VGG's widest layer: 512 in-channels, 5-bit masks at +-15, every scalar
+    # 255 and every input code 255, so |accumulator| reaches
+    # 512 * 9 * 255 * 255 * 15 > 2**32; mixed signs cancel to small sums
+    net, model = _net_and_model(seed=20, text="input 512 3 3\nconv 6 pad=1 tap\n")
+    compressed = build_compressed_model(net, model, [5])
+    layer = compressed.layers[0]
+    rng = np.random.default_rng(120)
+    signs = rng.choice([-1, 1], size=layer.masks.shape)
+    signs[0], signs[1] = 1, -1                   # clips at 255; ReLU zero
+    for o, total in ((2, 2), (3, -2)):           # whole window sums to +-2 * 15
+        flat = np.array([1] * (2304 + total // 2) + [-1] * (2304 - total // 2))
+        signs[o] = rng.permutation(flat).reshape(512, 9)
+    layer.masks[:] = 15 * signs
+    layer.scalars[:] = 255
+    layer.biases[:] = [0, 0, 16, 16, -7, 5]
+    exponents = [0, layer.shift + 5]             # acc -> output is a right shift by 13
+    image = np.ones((512, 3, 3))                 # every input code is 255
+    codes = integer_codes_loops(net, compressed, image, exponents)[-1]
+    assert 0 < codes[2, 1, 1] < 255 and codes[3, 1, 1] == 0
+    assert (codes[0] == 255).all() and (codes[1] == 0).all()
+    tap, _ = forward(net, compressed, image, mode="integer", act_exponents=exponents)
+    expected = codes.astype(np.float64) * 2.0 ** (exponents[-1] - 8)
+    assert tap.tobytes() == expected.tobytes()
+
+
 def test_integer_mode_is_deterministic():
     net, model = _net_and_model(seed=2)
     compressed = build_compressed_model(net, model, [2, 2])
