@@ -425,7 +425,7 @@ def dispatch(argv) -> int:
     except FloatingPointError as err:
         _say(f"numerical failure: {err}")
         return EXIT_NUMERIC
-    except (codec.CodecError, OSError, ValueError) as err:
+    except (OSError, ValueError) as err:  # codec.CodecError is a ValueError
         _say(str(err))
         return EXIT_DATA
 

@@ -10,6 +10,9 @@ Byte layout (all integers little-endian unless noted)::
         bias section:   out fields of 12 bits, MSB-first, zero-padded to a byte
     trailer: u32 length | metadata block (canonical JSON)
 
+The stream is parsed through binfile.Reader and follows its error
+contract (truncation, trailing bytes, bad magic).
+
 Masks are two's complement within their m bits, except m = 1 where the
 single bit encodes +1 (1) or -1 (0). The metadata block carries the
 architecture text, quantization policy, a checksum of the source float
@@ -27,42 +30,27 @@ import base64
 import json
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .network import (FloatModel, NetworkDefinition, check_model_matches,
-                      model_checksum, parse_network, propagate_shapes)
+from .binfile import (CodecError, CorruptionError, FormatError,  # noqa: F401 (re-exported)
+                      Reader, TruncationError)
+from .network import (FloatModel, NetworkDefinition, check_model_matches, dense_shapes,
+                      model_checksum, parse_network)
 from .ops import KERNEL_WEIGHTS
-from .quantize import (BIAS_MIN, DEFAULT_POLICY, POLICIES, SHIFT_MAX, SHIFT_MIN,
-                       QuantizedLayer, ShiftResult, compute_layer_shift,
-                       layer_alphas_masks, mask_levels, quantize_layer)
+from .quantize import (DEFAULT_POLICY, POLICIES, SHIFT_MAX, SHIFT_MIN, QuantizedLayer,
+                       global_shift, mask_levels, quantize_layer)
 
 MAGIC = b"QCM2"
+_KIND = "a compressed-model container"
 VERSION = 1
 KERNEL_BITS_FLOAT = 32 * KERNEL_WEIGHTS  # 288 bits per float32 kernel
 BIAS_BITS = 12
 
 
-class CodecError(Exception):
-    """Base class for container encode/decode failures."""
-
-
-class FormatError(CodecError):
-    """The byte stream is not a compressed-model container at all."""
-
-
 class UnsupportedVersionError(CodecError):
-    pass
-
-
-class TruncationError(CodecError):
-    def __init__(self, offset: int, what: str):
-        super().__init__(f"stream truncated at byte {offset} while reading {what}")
-        self.offset = offset
-
-
-class CorruptionError(CodecError):
     pass
 
 
@@ -135,17 +123,8 @@ def model_ratio(net: NetworkDefinition, profile, scalar_bits: int = 8) -> float:
 
 def parameter_count(net: NetworkDefinition) -> int:
     """Weights plus biases across conv and dense layers."""
-    total = 0
-    for s in net.conv_layer_shapes():
-        total += s.weight_count() + s.out_channels
-    features = None
-    for spec, shape in zip(net.layers, propagate_shapes(net)):
-        if len(shape) == 1 and features is None:
-            features = shape[0]  # output of flatten
-        elif len(shape) == 1:
-            total += features * shape[0] + shape[0]
-            features = shape[0]
-    return total
+    return (sum(s.weight_count() + s.out_channels for s in net.conv_layer_shapes())
+            + sum(o * i + o for o, i in dense_shapes(net)))
 
 
 class ModelSizes(NamedTuple):
@@ -171,21 +150,9 @@ def model_sizes(net: NetworkDefinition, profile, policy: str = DEFAULT_POLICY,
         compressed += -(-pairs * KERNEL_WEIGHTS * m // 8)      # masks
         compressed += -(-shape.out_channels * BIAS_BITS // 8)  # biases
     zero_dense = [(np.zeros((o, i), np.float32), np.zeros(o, np.float32))
-                  for o, i in _dense_shapes(net)]
+                  for o, i in dense_shapes(net)]
     compressed += 4 + len(_metadata_bytes(net, zero_dense, policy, source_checksum))
     return ModelSizes(float_bytes, compressed)
-
-
-def _dense_shapes(net: NetworkDefinition) -> list[tuple[int, int]]:
-    shapes = []
-    features = None
-    for shape in propagate_shapes(net):
-        if len(shape) == 1 and features is None:
-            features = shape[0]
-        elif len(shape) == 1:
-            shapes.append((shape[0], features))
-            features = shape[0]
-    return shapes
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +197,8 @@ def build_compressed_model(net: NetworkDefinition, model: FloatModel, profile,
     check_model_matches(net, model)
     prof = _checked_profile(net, profile)
 
-    override = None
-    if shift_scope == "global":
-        peak = 0.0
-        for (w, _), m in zip(model.conv, prof):
-            alphas, _ = layer_alphas_masks(w, m, policy)
-            peak = max(peak, float(alphas.max()))
-        override = compute_layer_shift(np.array([peak])).e
-
+    override = (global_shift([w for w, _ in model.conv], prof, policy)
+                if shift_scope == "global" else None)
     layers = []
     for shape, (w, b), m in zip(net.conv_layer_shapes(), model.conv, prof):
         layers.append(quantize_layer(w, b, m, policy, shape.stride, shape.padding,
@@ -269,8 +230,8 @@ def _pack_fields(values: np.ndarray, width: int) -> bytes:
     return np.packbits(bits.ravel()).tobytes()
 
 
-def _unpack_fields(data, width: int, count: int) -> np.ndarray:
-    bits = np.unpackbits(np.frombuffer(data, np.uint8), count=count * width)
+def _unpack_fields(packed: np.ndarray, width: int, count: int) -> np.ndarray:
+    bits = np.unpackbits(packed, count=count * width)
     place = 1 << np.arange(width - 1, -1, -1, dtype=np.int64)
     return bits.reshape(count, width).astype(np.int64) @ place
 
@@ -332,33 +293,18 @@ def encode(model: CompressedModel) -> bytes:
     return bytes(blob)
 
 
-class _Cursor:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.data):
-            raise TruncationError(self.pos, what)
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def unpack(self, fmt: str, what: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
-
-
 def decode(data: bytes) -> CompressedModel:
-    cur = _Cursor(data)
-    if cur.take(4, "magic") != MAGIC:
-        raise FormatError("not a compressed-model container (bad magic)")
-    version, layer_count = cur.unpack("<BH", "header")
+    return _decode(Reader(data, MAGIC, _KIND))
+
+
+def _decode(rd: Reader) -> CompressedModel:
+    version, layer_count = rd.unpack("<BH", "header")
     if version != VERSION:
         raise UnsupportedVersionError(f"container version {version}, expected {VERSION}")
 
     raw_layers = []
     for i in range(layer_count):
-        out, cin, stride, padding, m, e = cur.unpack("<HHBBBb", f"layer {i} header")
+        out, cin, stride, padding, m, e = rd.unpack("<HHBBBb", f"layer {i} header")
         if not 1 <= m <= 5:
             raise CorruptionError(f"layer {i}: mask width {m} outside 1..5")
         if not SHIFT_MIN <= e <= SHIFT_MAX:
@@ -366,9 +312,9 @@ def decode(data: bytes) -> CompressedModel:
         if out == 0 or cin == 0:
             raise CorruptionError(f"layer {i}: zero channel count")
         pairs = out * cin
-        scalars = np.frombuffer(cur.take(pairs, f"layer {i} scalars"), np.uint8)
+        scalars = rd.array(np.uint8, pairs, f"layer {i} scalars")
         mask_bytes = -(-pairs * KERNEL_WEIGHTS * m // 8)
-        fields = _unpack_fields(cur.take(mask_bytes, f"layer {i} masks"),
+        fields = _unpack_fields(rd.array(np.uint8, mask_bytes, f"layer {i} masks"),
                                 m, pairs * KERNEL_WEIGHTS)
         if m == 1:
             masks = (2 * fields - 1).astype(np.int8)
@@ -379,14 +325,13 @@ def decode(data: bytes) -> CompressedModel:
             masks = masks.astype(np.int8)
         bias_bytes = -(-out * BIAS_BITS // 8)
         biases = _sign_extend(
-            _unpack_fields(cur.take(bias_bytes, f"layer {i} biases"), BIAS_BITS, out),
+            _unpack_fields(rd.array(np.uint8, bias_bytes, f"layer {i} biases"), BIAS_BITS, out),
             BIAS_BITS).astype(np.int16)
-        raw_layers.append((out, cin, stride, padding, m, e, scalars, masks, biases))
+        raw_layers.append(((out, cin, stride, padding), m, e, scalars, masks, biases))
 
-    (meta_len,) = cur.unpack("<I", "metadata length")
-    meta_raw = cur.take(meta_len, "metadata block")
-    if cur.pos != len(data):
-        raise CorruptionError(f"{len(data) - cur.pos} trailing bytes after metadata")
+    (meta_len,) = rd.unpack("<I", "metadata length")
+    meta_raw = rd.take(meta_len, "metadata block")
+    rd.finish()
     try:
         meta = json.loads(meta_raw.decode())
         net = parse_network(meta["network"])
@@ -400,7 +345,7 @@ def decode(data: bytes) -> CompressedModel:
             if b.shape != (o,):
                 raise ValueError(f"dense bias length {b.shape[0]} != {o}")
             dense.append((w.copy(), b.copy()))
-    except (KeyError, ValueError, TypeError) as err:
+    except (KeyError, ValueError, TypeError, AttributeError) as err:  # any JSON shape
         raise CorruptionError(f"bad metadata block: {err}") from err
     if policy not in POLICIES:
         raise CorruptionError(f"unknown policy {policy!r} in metadata")
@@ -410,20 +355,15 @@ def decode(data: bytes) -> CompressedModel:
         raise CorruptionError(
             f"metadata architecture has {len(shapes)} conv layers, stream has {layer_count}")
     layers = []
-    for i, (shape, raw) in enumerate(zip(shapes, raw_layers)):
-        out, cin, stride, padding, m, e, scalars, masks, biases = raw
-        if (out, cin, stride, padding) != (shape.out_channels, shape.in_channels,
-                                           shape.stride, shape.padding):
+    for i, (shape, (geometry, m, e, scalars, masks, biases)) in enumerate(zip(shapes, raw_layers)):
+        out, cin = shape.out_channels, shape.in_channels
+        if geometry != (out, cin, shape.stride, shape.padding):
             raise CorruptionError(
-                f"layer {i}: header geometry ({out},{cin},s{stride},p{padding}) "
-                f"disagrees with architecture {shape}")
+                f"layer {i}: header geometry {geometry} disagrees with architecture {shape}")
         layers.append(QuantizedLayer(
-            shape=shape, mask_bits=m, shift=e,
-            scalars=scalars.reshape(out, cin).copy(),
-            masks=masks.reshape(out, cin, KERNEL_WEIGHTS).copy(),
-            biases=biases.copy(),
-        ))
-    expected, stored = _dense_shapes(net), [w.shape for w, _ in dense]
+            shape=shape, mask_bits=m, shift=e, scalars=scalars.reshape(out, cin).copy(),
+            masks=masks.reshape(out, cin, KERNEL_WEIGHTS), biases=biases))
+    expected, stored = dense_shapes(net), [w.shape for w, _ in dense]
     if stored != expected:
         raise CorruptionError(
             f"dense head shapes {stored} disagree with architecture {expected}")
@@ -436,5 +376,4 @@ def save_model(path, model: CompressedModel) -> None:
 
 
 def load_model(path) -> CompressedModel:
-    with open(path, "rb") as fh:
-        return decode(fh.read())
+    return _decode(Reader(Path(path).read_bytes(), MAGIC, _KIND, path))

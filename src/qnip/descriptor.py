@@ -31,16 +31,20 @@ Descriptor files: magic "QDS1", u16 element count, u32 record count, then
 per record a u16-length-prefixed id, a precision tag byte (0/1/2), the
 payload (float32 LE / one byte per entry / bit-packed MSB-first) and one
 float32 of metadata (the byte scale or bit threshold; 0 for real).
+load_descriptors parses them through binfile.Reader and follows its error
+contract.
 """
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import engine, ops
+from .binfile import CorruptionError, Reader
 from .network import NetworkDefinition
 from .quantize import round_half_away
 
@@ -286,44 +290,29 @@ def save_descriptors(path, descriptors: dict[str, Descriptor]) -> None:
 
 
 def load_descriptors(path) -> dict[str, Descriptor]:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != DESC_MAGIC:
-        raise ValueError(f"{path}: not a descriptor file (bad magic)")
-    offset = 4
+    rd = Reader(Path(path).read_bytes(), DESC_MAGIC, "a descriptor file", path)
     out: dict[str, Descriptor] = {}
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal offset
-        if offset + n > len(data):
-            raise ValueError(f"{path}: truncated at byte {offset} reading {what}")
-        chunk = data[offset:offset + n]
-        offset += n
-        return chunk
-
-    dim, count = struct.unpack("<HI", take(6, "header"))
+    dim, count = rd.unpack("<HI", "header")
     for _ in range(count):
-        (id_len,) = struct.unpack("<H", take(2, "id length"))
-        name = take(id_len, "id").decode()
-        (tag,) = take(1, "precision tag")
+        (id_len,) = rd.unpack("<H", "id length")
+        name = rd.take(id_len, "id").decode()
+        (tag,) = rd.take(1, "precision tag")
         if tag not in _TAG_NAMES:
-            raise ValueError(f"{path}: unknown precision tag {tag}")
+            raise CorruptionError(f"{path}: unknown precision tag {tag}")
         precision = _TAG_NAMES[tag]
         if precision == "real":
-            values = np.frombuffer(take(4 * dim, "payload"), np.float32).astype(np.float64)
+            values = rd.array(np.float32, dim, "payload").astype(np.float64)
         elif precision == "byte":
-            values = np.frombuffer(take(dim, "payload"), np.uint8).copy()
+            values = rd.array(np.uint8, dim, "payload").copy()
         else:
-            packed = np.frombuffer(take(-(-dim // 8), "payload"), np.uint8)
-            values = np.unpackbits(packed, count=dim).copy()
-        (meta,) = struct.unpack("<f", take(4, "metadata"))
+            values = np.unpackbits(rd.array(np.uint8, -(-dim // 8), "payload"), count=dim)
+        (meta,) = rd.unpack("<f", "metadata")
         if name in out:
-            raise ValueError(f"{path}: duplicate id {name!r}")
+            raise CorruptionError(f"{path}: duplicate id {name!r}")
         out[name] = Descriptor(
             precision, values,
             scale=float(meta) if precision == "byte" else None,
             threshold=float(meta) if precision == "bit" else None,
         )
-    if offset != len(data):
-        raise ValueError(f"{path}: {len(data) - offset} trailing bytes")
+    rd.finish()
     return out

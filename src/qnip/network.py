@@ -16,21 +16,28 @@ order of appearance.
 
 Full-precision weights travel in a flat float64 container (magic "QFW1")
 rather than .npz — zip archives embed timestamps, and re-running a
-pipeline must produce byte-identical files.
+pipeline must produce byte-identical files. Layout: u16 conv count, u16
+dense count, then per array (w, b of each layer in order) a u8 rank, u32
+dims and the float64 LE values. load_float_model parses it through
+binfile.Reader and follows its error contract.
 """
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
+from .binfile import Reader
 from .ops import ConvLayerShape
 
 __all__ = [
     "ConvSpec", "PoolSpec", "FlattenSpec", "DenseSpec", "NetworkDefinition",
     "NetworkConfigError", "parse_network", "load_network", "propagate_shapes",
+    "dense_shapes",
     "FloatModel", "init_float_model", "save_float_model", "load_float_model",
     "model_checksum",
 ]
@@ -223,6 +230,12 @@ def propagate_shapes(net: NetworkDefinition) -> list[tuple[int, ...]]:
     return shapes
 
 
+def dense_shapes(net: NetworkDefinition) -> list[tuple[int, int]]:
+    """(out, in) of each dense layer, in order."""
+    widths = [shape[0] for shape in propagate_shapes(net) if len(shape) == 1]
+    return list(zip(widths[1:], widths))  # widths: flatten's output, then each dense's
+
+
 def tap_shape(net: NetworkDefinition) -> tuple[int, int, int]:
     """C, H, W of the feature map at the tap point."""
     shapes = propagate_shapes(net)
@@ -257,15 +270,9 @@ def init_float_model(net: NetworkDefinition, rng: np.random.Generator) -> FloatM
         w = rng.normal(0.0, np.sqrt(2.0 / fan_in),
                        size=(shape.out_channels, shape.in_channels, 3, 3))
         model.conv.append((w, np.zeros(shape.out_channels)))
-    shapes = propagate_shapes(net)
-    features = None
-    for spec, shape in zip(net.layers, shapes):
-        if isinstance(spec, FlattenSpec):
-            features = shape[0]
-        elif isinstance(spec, DenseSpec):
-            w = rng.normal(0.0, np.sqrt(2.0 / features), size=(spec.out_features, features))
-            model.dense.append((w, np.zeros(spec.out_features)))
-            features = spec.out_features
+    for o, i in dense_shapes(net):
+        w = rng.normal(0.0, np.sqrt(2.0 / i), size=(o, i))
+        model.dense.append((w, np.zeros(o)))
     return model
 
 
@@ -279,9 +286,13 @@ def check_model_matches(net: NetworkDefinition, model: FloatModel) -> None:
             raise ValueError(f"conv{i + 1}: weights {w.shape} != {want}")
         if b.shape != (shape.out_channels,):
             raise ValueError(f"conv{i + 1}: bias {b.shape} != ({shape.out_channels},)")
-    if len(model.dense) != len(net.dense_specs):
-        raise ValueError(
-            f"model has {len(model.dense)} dense layers, net expects {len(net.dense_specs)}")
+    want = dense_shapes(net)
+    if len(model.dense) != len(want):
+        raise ValueError(f"model has {len(model.dense)} dense layers, net expects {len(want)}")
+    for i, ((o, f), (w, b)) in enumerate(zip(want, model.dense)):
+        if np.shape(w) != (o, f) or np.shape(b) != (o,):
+            raise ValueError(f"dense{i + 1}: weights {np.shape(w)} and bias {np.shape(b)} "
+                             f"!= ({o}, {f}) and ({o},)")
 
 
 def save_float_model(path, model: FloatModel) -> None:
@@ -301,37 +312,17 @@ def save_float_model(path, model: FloatModel) -> None:
 
 
 def load_float_model(path) -> FloatModel:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != FLOAT_MAGIC:
-        raise ValueError(f"{path}: not a float model file (bad magic)")
-    if len(data) < 8:
-        raise ValueError(f"{path}: truncated at byte 4 reading header")
-    n_conv, n_dense = struct.unpack_from("<HH", data, 4)
-    offset = 8
+    rd = Reader(Path(path).read_bytes(), FLOAT_MAGIC, "a float model file", path)
+    n_conv, n_dense = rd.unpack("<HH", "header")
     arrays = []
-    for _ in range(2 * (n_conv + n_dense)):
-        if offset + 1 > len(data):
-            raise ValueError(f"{path}: truncated at byte {offset}")
-        ndim = data[offset]
-        offset += 1
-        if offset + 4 * ndim > len(data):
-            raise ValueError(f"{path}: truncated at byte {offset}")
-        shape = struct.unpack_from(f"<{ndim}I", data, offset)
-        offset += 4 * ndim
-        count = int(np.prod(shape)) if ndim else 1
-        if offset + 8 * count > len(data):
-            raise ValueError(f"{path}: truncated at byte {offset}")
-        arrays.append(np.frombuffer(data, np.float64, count, offset).reshape(shape).copy())
-        offset += 8 * count
-    if offset != len(data):
-        raise ValueError(f"{path}: {len(data) - offset} trailing bytes")
-    model = FloatModel()
-    for i in range(n_conv):
-        model.conv.append((arrays[2 * i], arrays[2 * i + 1]))
-    for i in range(n_dense):
-        model.dense.append((arrays[2 * n_conv + 2 * i], arrays[2 * n_conv + 2 * i + 1]))
-    return model
+    for k in range(2 * (n_conv + n_dense)):
+        (ndim,) = rd.unpack("<B", f"array {k} rank")
+        shape = rd.unpack(f"<{ndim}I", f"array {k} shape")
+        values = rd.array(np.float64, math.prod(shape), f"array {k} values")
+        arrays.append(values.reshape(shape).copy())
+    rd.finish()
+    pairs = list(zip(arrays[0::2], arrays[1::2]))
+    return FloatModel(conv=pairs[:n_conv], dense=pairs[n_conv:])
 
 
 def model_checksum(model: FloatModel) -> str:

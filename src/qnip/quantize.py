@@ -80,6 +80,17 @@ def compute_layer_shift(alphas: np.ndarray) -> ShiftResult:
     return ShiftResult(max(e, SHIFT_MIN), False, False)
 
 
+def global_shift(weights, profile, policy: str = DEFAULT_POLICY) -> int:
+    """One shift for every layer, from the peak alpha across all of them.
+
+    Layers whose profile entry is None (kept in float) do not count; with
+    no positive alpha anywhere the shift is SHIFT_MIN.
+    """
+    peaks = [layer_alphas_masks(w, int(m), policy)[0].max()
+             for w, m in zip(weights, profile) if m is not None]
+    return compute_layer_shift(np.array([0.0, *peaks])).e
+
+
 def quantize_scalar(alpha: float, e: int) -> int:
     """8-bit mantissa of alpha against the 2**(e-8) grid, clamped to 0..255."""
     if alpha < 0:

@@ -23,8 +23,9 @@ relevant to each other, the first image of each group is its query, and
 the query itself never appears in its own ranking.
 
 File fixtures:
-  * image rasters  — magic "IMG1", u16 channels/height/width (LE), then
-    row-major uint8 samples; loaded as floats in [0, 1].
+  * image rasters  — magic "IMG1", u16 channels/height/width (LE), each
+    at least 1, then row-major uint8 samples; loaded as floats in [0, 1]
+    by read_image through binfile.Reader, under its error contract.
   * ground truth   — one line per query: "query_id: id1 id2 ...".
   * result lists   — CSV with header "query_id,rank,id,score".
 """
@@ -37,6 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .binfile import CorruptionError, Reader
 from .descriptor import Descriptor
 
 IMAGE_MAGIC = b"IMG1"
@@ -178,26 +180,20 @@ def write_image(path, image: np.ndarray) -> None:
     image = np.asarray(image)
     if image.ndim != 3:
         raise ValueError(f"image must be C,H,W, got shape {image.shape}")
-    c, h, w = image.shape
-    if max(c, h, w) > 0xFFFF:
-        raise ValueError(f"image dimensions {image.shape} exceed u16")
+    if not all(0 < n <= 0xFFFF for n in image.shape):
+        raise ValueError(f"image dimensions {image.shape} must each be 1..65535")
     samples = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
     with open(path, "wb") as fh:
-        fh.write(IMAGE_MAGIC + struct.pack("<HHH", c, h, w) + samples.tobytes())
+        fh.write(IMAGE_MAGIC + struct.pack("<HHH", *image.shape) + samples.tobytes())
 
 
 def read_image(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != IMAGE_MAGIC:
-        raise ValueError(f"{path}: not an image raster (bad magic)")
-    if len(data) < 10:
-        raise ValueError(f"{path}: truncated header")
-    c, h, w = struct.unpack_from("<HHH", data, 4)
-    count = c * h * w
-    if len(data) != 10 + count:
-        raise ValueError(f"{path}: expected {10 + count} bytes, found {len(data)}")
-    samples = np.frombuffer(data, np.uint8, count, 10)
+    rd = Reader(Path(path).read_bytes(), IMAGE_MAGIC, "an image raster", path)
+    c, h, w = rd.unpack("<HHH", "header")
+    if 0 in (c, h, w):
+        raise CorruptionError(f"{path}: empty {c}x{h}x{w} raster")
+    samples = rd.array(np.uint8, c * h * w, "samples")
+    rd.finish()
     return samples.reshape(c, h, w).astype(np.float64) / 255.0
 
 

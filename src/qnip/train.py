@@ -24,8 +24,7 @@ from .codec import CompressedModel, build_compressed_model
 from .network import (ConvSpec, DenseSpec, FlattenSpec, FloatModel,
                       NetworkDefinition, PoolSpec, check_model_matches,
                       init_float_model)
-from .quantize import (DEFAULT_POLICY, compute_layer_shift, dequantize_layer,
-                       layer_alphas_masks, quantize_layer)
+from .quantize import DEFAULT_POLICY, dequantize_layer, global_shift, quantize_layer
 
 
 class DivergenceError(RuntimeError):
@@ -167,15 +166,8 @@ def _quantized_view(net, shadow: FloatModel, config: TrainConfig):
     if len(profile) != len(shapes):
         raise ValueError(f"profile covers {len(profile)} layers, net has {len(shapes)}")
 
-    override = None
-    if config.shift_scope == "global":
-        peak = 0.0
-        for (w, _), m in zip(shadow.conv, profile):
-            if m is not None:
-                alphas, _ = layer_alphas_masks(w, int(m), config.policy)
-                peak = max(peak, float(alphas.max()))
-        if peak > 0.0:
-            override = compute_layer_shift(np.array([peak])).e
+    override = (global_shift([w for w, _ in shadow.conv], profile, config.policy)
+                if config.shift_scope == "global" else None)
 
     view = []
     for shape, (w, b), m in zip(shapes, shadow.conv, profile):

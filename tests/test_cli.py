@@ -1,5 +1,7 @@
 """End-to-end command-line flows, exit codesTests and artifact determinism."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -302,3 +304,32 @@ def test_extract_integer_nip_is_invariant_to_rotating_the_corpus(ws, capsys):
         descs.append(load_descriptors(out)["1000"])
     assert descs[0] == descs[1]
     capsys.readouterr()
+
+
+def test_quantize_refuses_reshaped_dense_head(ws, capsys):
+    # used to exit 0 and write a container that inspect then refused
+    model = load_float_model(ws["weights"])
+    (w, b), = model.dense
+    model.dense = [(w.reshape(1, -1), b[:1])]
+    bad = ws["root"] / "reshaped.qfw"
+    save_float_model(bad, model)
+    out = ws["root"] / "reshaped.qcm"
+    assert dispatch(["quantize", "--net", str(ws["net"]), "--weights", str(bad),
+                     "--profile", "3x2", "--out", str(out)]) == EXIT_DATA
+    assert not out.exists()
+    assert "dense1" in capsys.readouterr().err
+
+
+def test_zero_sized_raster_is_a_data_error(ws, capsys):
+    # used to die with an IndexError inside resize_bilinear
+    corpus = ws["root"] / "empty_corpus"
+    corpus.mkdir()
+    empty = corpus / "1000.img"
+    empty.write_bytes(b"IMG1" + struct.pack("<HHH", 3, 0, 16))
+    assert dispatch(["infer", "--net", str(ws["net"]), "--weights", str(ws["weights"]),
+                     "--image", str(empty)]) == EXIT_DATA
+    out = ws["root"] / "empty.qds"
+    assert dispatch(["extract", "--net", str(ws["net"]), "--weights", str(ws["weights"]),
+                     "--images", str(corpus), "--out", str(out)]) == EXIT_DATA
+    assert not out.exists()
+    assert capsys.readouterr().err.count("empty 3x0x16 raster") == 2

@@ -1,5 +1,7 @@
 """Compressed-container codec: ratios, sizes, byte layout, round trips, errors."""
 
+import json
+import re
 import struct
 
 import numpy as np
@@ -274,3 +276,27 @@ def test_fuzzed_round_trips_small():
         profile = [int(rng.integers(1, 6))]
         compressed = build_compressed_model(net, model, profile)
         assert decode(encode(compressed)) == compressed
+
+
+def test_load_model_errors_name_the_path(tmp_path):
+    data = encode(_hand_model(_hand_layer([1] * 9)))
+    path = tmp_path / "cut.qcm"
+    path.write_bytes(data[:10])
+    with pytest.raises(TruncationError, match=(
+            f"^{re.escape(str(path))}: truncated at byte 7 reading layer 0 header$")):
+        load_model(path)
+    path.write_bytes(data + b"\x00\x00")
+    with pytest.raises(CorruptionError, match="2 trailing bytes$"):
+        load_model(path)
+
+
+def test_decode_rejects_mistyped_metadata():
+    # valid JSON of the wrong shape; a non-string network used to escape
+    # as AttributeError, past the CLI's data-error handler
+    data = encode(_hand_model(_hand_layer([1] * 9)))
+    start = data.index(b'{"dense"')  # the canonical JSON trailer, after its u32 length
+    head, meta = data[:start - 4], json.loads(data[start:])
+    for key, value in [("network", 5), ("network", {"a": 1}), ("dense", [5]), ("dense", 5)]:
+        raw = json.dumps({**meta, key: value}).encode()
+        with pytest.raises(CorruptionError, match="bad metadata block"):
+            decode(head + struct.pack("<I", len(raw)) + raw)

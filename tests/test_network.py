@@ -10,6 +10,7 @@ from qnip.network import (
     FloatModel,
     NetworkConfigError,
     check_model_matches,
+    dense_shapes,
     init_float_model,
     load_float_model,
     load_network,
@@ -177,3 +178,25 @@ def test_dense_spec_requires_positive_features():
     with pytest.raises(NetworkConfigError):
         parse_network("input 1 8 8\nconv 2\nflatten\ndense 0\n")
     assert DenseSpec(4).out_features == 4
+
+
+def test_check_model_matches_rejects_reshaped_dense_head():
+    # a 10x1536 head stored as 5x3072 holds as many weights, and quantize
+    # used to write a container from it that decode then refused
+    net = parse_network(TOY_TEXT)
+    model = init_float_model(net, np.random.default_rng(0))
+    (w, b), = model.dense
+    for dense in ([(w.reshape(5, -1), b[:5])], [(w, b[:5])]):
+        with pytest.raises(ValueError, match="dense1"):
+            check_model_matches(net, FloatModel(conv=model.conv, dense=dense))
+
+
+def test_dense_shapes_and_unchanged_init_draws():
+    net = parse_network("input 1 8 8\nconv 3 pad=1\npool\nconv 4 tap\nflatten\ndense 5\ndense 2\n")
+    assert dense_shapes(net) == [(5, 16), (2, 5)]
+    assert dense_shapes(parse_network("input 1 4 4\nconv 2\n")) == []
+    model = init_float_model(net, np.random.default_rng(3))
+    assert [w.shape for w, _ in model.dense] == dense_shapes(net)
+    # the weights drawn before the dense shapes had one derivation
+    assert model_checksum(model) == (
+        "43dd56d689be9390d732296407d4bddb80629c02d2863d26db5df2c8fd93dc6b")

@@ -16,6 +16,7 @@ from qnip.quantize import (
     dequantize_bias,
     dequantize_layer,
     dequantize_scalar,
+    global_shift,
     layer_alphas_masks,
     mask_levels,
     quantize_bias,
@@ -290,3 +291,16 @@ def test_layer_alphas_masks_vectorized_agrees_with_single():
                 k = o * 2 + i
                 assert abs(alphas[k] - a) <= 1e-12
                 assert np.array_equal(masks[k], np.asarray(mk).reshape(-1))
+
+
+def test_global_shift_is_the_largest_layer_shift():
+    rng = np.random.default_rng(31)
+    small, big = rng.normal(size=(2, 3, 3, 3)) * 0.05, rng.normal(size=(2, 3, 3, 3)) * 6.0
+    shifts = [quantize_layer(w, np.zeros(2), 3).shift for w in (small, big)]
+    assert shifts[0] < shifts[1]
+    assert global_shift([small, big], [3, 3]) == shifts[1]
+    # float layers (profile None) do not count
+    assert global_shift([small, big], [3, None]) == shifts[0]
+    # no positive alpha anywhere: the per-layer rule's degenerate shift
+    assert global_shift([np.zeros((2, 3, 3, 3))], [1]) == SHIFT_MIN
+    assert global_shift([big], [None]) == SHIFT_MIN

@@ -1,7 +1,11 @@
 """Search, average precision, image rasters and benchmark plumbing."""
 
+import struct
+
 import numpy as np
 import pytest
+
+from qnip.binfile import CorruptionError
 
 from qnip.descriptor import (
     Descriptor,
@@ -397,3 +401,14 @@ def test_write_results_csv(tmp_path):
     assert lines[2] == "q1,2,b,0.500000"
     write_results_csv(path, {"q1": [("a", 3)]}, bitwise=True)
     assert path.read_text().splitlines()[1] == "q1,1,a,3"
+
+
+def test_zero_sized_rasters_are_refused(tmp_path):
+    path = tmp_path / "empty.img"
+    with pytest.raises(ValueError, match="1..65535"):
+        write_image(path, np.zeros((1, 0, 4)))
+    assert not path.exists()
+    for shape in [(0, 2, 2), (1, 0, 2), (1, 2, 0)]:
+        path.write_bytes(b"IMG1" + struct.pack("<HHH", *shape))
+        with pytest.raises(CorruptionError, match="empty"):
+            read_image(path)
