@@ -39,15 +39,18 @@ def _say(*parts) -> None:
     print(*parts, file=sys.stderr)
 
 
-def _load_weights(path):
-    """FloatModel or CompressedModel, sniffed by magic."""
+def _load_weights(path, mode):
+    """FloatModel or CompressedModel, sniffed by magic, as the engine mode needs."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
-    if magic == network.FLOAT_MAGIC:
-        return network.load_float_model(path)
-    if magic == codec.MAGIC:
-        return codec.load_model(path)
-    raise ValueError(f"{path}: neither a float-weights nor a compressed-model file")
+    if magic not in (network.FLOAT_MAGIC, codec.MAGIC):
+        raise ValueError(f"{path}: neither a float-weights nor a compressed-model file")
+    # engine.forward raises TypeError on a mismatch, which dispatch does not catch
+    if mode == "float" and magic != network.FLOAT_MAGIC:
+        raise ValueError(f"{path}: float mode needs float weights (.qfw)")
+    if mode != "float" and magic != codec.MAGIC:
+        raise ValueError(f"{path}: {mode} mode needs a compressed model (.qcm)")
+    return network.load_float_model(path) if mode == "float" else codec.load_model(path)
 
 
 def _worker_count(text: str) -> int:
@@ -215,11 +218,7 @@ def _cmd_inspect(args) -> int:
 
 def _cmd_infer(args) -> int:
     net = network.load_network(args.net)
-    weights = _load_weights(args.weights)
-    if args.mode == "float" and not isinstance(weights, network.FloatModel):
-        raise ValueError(f"{args.weights}: float mode needs float weights (.qfw)")
-    if args.mode != "float" and not isinstance(weights, codec.CompressedModel):
-        raise ValueError(f"{args.weights}: {args.mode} mode needs a compressed model (.qcm)")
+    weights = _load_weights(args.weights, args.mode)
     image = descriptor.sized_input(net, retrieval.read_image(args.image))
     exps = None
     if args.mode == "integer" and args.calib:
@@ -269,11 +268,7 @@ def _cmd_retrain(args) -> int:
 
 def _cmd_extract(args) -> int:
     net = network.load_network(args.net)
-    weights = _load_weights(args.weights)
-    if args.mode == "float" and not isinstance(weights, network.FloatModel):
-        raise ValueError(f"{args.weights}: float mode needs float weights (.qfw)")
-    if args.mode != "float" and not isinstance(weights, codec.CompressedModel):
-        raise ValueError(f"{args.weights}: {args.mode} mode needs a compressed model (.qcm)")
+    weights = _load_weights(args.weights, args.mode)
     levels_text = args.levels or ("1,2,3" if args.kind == "nip" else "1,2")
     levels = tuple(int(t) for t in levels_text.split(","))
     images, _ = retrieval.ingest_dataset(args.images)

@@ -17,9 +17,11 @@ that _prepare builds once per call: an input map (identity, or 8-bit
 quantization at the input exponent), one conv + ReLU step per conv layer
 (float conv on float or dequantized weights, or the exact float64
 im2col GEMM with integer weights, shifts and shifted bias precomputed),
-the dense head, and the value of one activation unit after the input and after
-each conv (1.0 in the float modes, 2**(p-8) in integer mode), applied at
-the tap and at flatten. Calibration walks the dequantized preparation.
+the dense head, the pool step (ops.maxpool2x2), and the value of one
+activation unit after the input and after each conv (1.0 in the float
+modes, 2**(p-8) in integer mode), applied at the tap and at flatten.
+Calibration walks the dequantized preparation; training walks its own,
+with a conv step that keeps im2col's cols and its own pool step.
 
 Dense layers get ReLU between them but not after the last one (raw
 logits). Integer mode converts the feature map back to floats at the
@@ -73,6 +75,7 @@ class _Prepared(NamedTuple):
     convs: list[Callable[[np.ndarray], np.ndarray]]  # per conv: map -> post-ReLU map
     scales: list[float]  # value of one activation unit: input, then each conv's output
     dense: list[tuple[np.ndarray, np.ndarray]]
+    pool: Callable[[np.ndarray], np.ndarray]         # 2x2 max pool step
 
 
 def _quantize_activation(x: np.ndarray, p: int) -> np.ndarray:
@@ -110,7 +113,8 @@ def _prepare(net: NetworkDefinition, weights, mode: str,
     if mode != "integer":
         model = weights if mode == "float" else dequantized_float_model(weights)
         convs = [_float_conv(spec, w, b) for spec, (w, b) in zip(net.conv_specs, model.conv)]
-        return _Prepared(lambda x: x, convs, [1.0] * (len(convs) + 1), model.dense)
+        return _Prepared(lambda x: x, convs, [1.0] * (len(convs) + 1), model.dense,
+                         ops.maxpool2x2)
     check_accumulator_bounds(net, weights.profile)
     if len(act_exponents) != len(weights.layers) + 1:
         raise ValueError(
@@ -121,13 +125,15 @@ def _prepare(net: NetworkDefinition, weights, mode: str,
              in zip(net.conv_specs, weights.layers, p, p[1:])]
     dense = [(np.asarray(w, np.float64), np.asarray(b, np.float64)) for w, b in weights.dense]
     return _Prepared(lambda x: _quantize_activation(x, p[0]), convs,
-                     [2.0 ** (e - 8) for e in p], dense)
+                     [2.0 ** (e - 8) for e in p], dense, ops.maxpool2x2)
 
 
-def _walk(net: NetworkDefinition, prepared: _Prepared, image: np.ndarray, peaks=None):
-    """(tap, logits) of one image; raises peaks[i + 1] to conv i's output max."""
+def _walk(net: NetworkDefinition, prepared: _Prepared, image: np.ndarray, peaks=None,
+          outputs: list | None = None):
+    """(tap, logits) of one image; raises peaks[i + 1] to conv i's output max
+    and appends every layer's output to outputs."""
     x = prepared.entry(image)
-    tap = vec = None
+    tap = None
     conv_i = dense_i = 0
     for spec in net.layers:
         if isinstance(spec, ConvSpec):
@@ -138,16 +144,18 @@ def _walk(net: NetworkDefinition, prepared: _Prepared, image: np.ndarray, peaks=
                 tap = x * prepared.scales[conv_i + 1]
             conv_i += 1
         elif isinstance(spec, PoolSpec):
-            x = ops.maxpool2x2(x)
+            x = prepared.pool(x)
         elif isinstance(spec, FlattenSpec):
-            vec = x.reshape(-1) * prepared.scales[conv_i]
+            x = x.reshape(-1) * prepared.scales[conv_i]
         elif isinstance(spec, DenseSpec):
             w, b = prepared.dense[dense_i]
             if dense_i > 0:
-                vec = ops.relu(vec)
-            vec = ops.fully_connected(vec, w, b)
+                x = ops.relu(x)
+            x = ops.fully_connected(x, w, b)
             dense_i += 1
-    return tap, (vec if dense_i else None)
+        if outputs is not None:
+            outputs.append(x)
+    return tap, (x if dense_i else None)
 
 
 def calibrate_activation_exponents(net: NetworkDefinition, model: CompressedModel,

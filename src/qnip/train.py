@@ -9,17 +9,22 @@ pass. Layers whose profile entry is None (the "keep float" sentinel) skip
 quantization entirely; with an all-None profile the loop reproduces plain
 float training bit for bit.
 
+The forward pass is inference's engine._walk with training's own conv step
+(im2col + GEMM + ReLU, keeping each cols matrix for the backward pass) and
+2x2 max pool step; the backward pass reads the layer outputs it records.
+
 Everything is deterministic given TrainConfig.seed: initialization draws
 from default_rng([seed, 0]), epoch shuffles from default_rng([seed, 1]).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import ops
+from . import engine, ops
 from .codec import CompressedModel, build_compressed_model
 from .network import (ConvSpec, DenseSpec, FlattenSpec, FloatModel,
                       NetworkDefinition, PoolSpec, check_model_matches,
@@ -76,78 +81,75 @@ def write_metrics_csv(path, metrics: Sequence[EpochMetrics]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# forward/backward with caches
+# forward on the engine's walk, and backward
 
-def _forward_cached(net, conv_params, dense_params, image):
-    x = image
-    caches = []
-    conv_i = dense_i = 0
-    vec = None
-    for spec in net.layers:
-        if isinstance(spec, ConvSpec):
-            w, b = conv_params[conv_i]
-            cols, (h, wd) = ops.im2col(x, spec.stride, spec.padding)
-            pre = w.reshape(w.shape[0], -1) @ cols + b[:, None]
-            act = np.maximum(pre, 0.0)
-            caches.append(("conv", cols, pre > 0, x.shape, (h, wd), spec))
-            x = act.reshape(w.shape[0], h, wd)
-            conv_i += 1
-        elif isinstance(spec, PoolSpec):
-            c, h, wd = x.shape
-            windows = x.reshape(c, h // 2, 2, wd // 2, 2).transpose(0, 1, 3, 2, 4)
-            flat = windows.reshape(c, h // 2, wd // 2, 4)
-            idx = flat.argmax(axis=3)  # first max wins on ties, matching forward
-            caches.append(("pool", idx, x.shape))
-            x = np.take_along_axis(flat, idx[..., None], axis=3)[..., 0]
-        elif isinstance(spec, FlattenSpec):
-            caches.append(("flatten", x.shape))
-            vec = x.reshape(-1)
-        elif isinstance(spec, DenseSpec):
-            w, b = dense_params[dense_i]
-            relu_mask = None
-            if dense_i > 0:
-                relu_mask = vec > 0
-                vec = np.maximum(vec, 0.0)
-            caches.append(("dense", vec, relu_mask))
-            vec = w @ vec + b
-            dense_i += 1
-    return (vec if dense_i else None), caches
+def _maxpool(x):
+    # own 2x2 max: perfbench requires that train never calls ops.maxpool2x2 (ROADMAP item 1)
+    v = x.reshape(x.shape[0], x.shape[1] // 2, 2, x.shape[2] // 2, 2)
+    rows = np.maximum(v[:, :, 0], v[:, :, 1])
+    return np.maximum(rows[..., 0], rows[..., 1])
 
 
-def _backward_cached(net, conv_params, dense_params, caches, dlogits):
+def _conv_step(cols, spec, w, b, x):
+    c, (h, wd) = ops.im2col(x, spec.stride, spec.padding)
+    cols.append(c)
+    return np.maximum(w.reshape(w.shape[0], -1) @ c + b[:, None], 0.0).reshape(-1, h, wd)
+
+
+def _forward(net, conv_params, dense_params, image):
+    """(logits, every layer's output, every conv's im2col matrix) from engine._walk."""
+    cols, outputs = [], []
+    convs = [partial(_conv_step, cols, spec, w, b)
+             for spec, (w, b) in zip(net.conv_specs, conv_params)]
+    prepared = engine._Prepared(lambda x: x, convs, [1.0] * (len(convs) + 1),
+                                dense_params, _maxpool)
+    _, logits = engine._walk(net, prepared, image, outputs=outputs)
+    return logits, outputs, cols
+
+
+def _backward(net, conv_params, dense_params, image, outputs, cols, dlogits):
     conv_grads = [None] * len(conv_params)
     dense_grads = [None] * len(dense_params)
     conv_i = len(conv_params)
     dense_i = len(dense_params)
     grad = dlogits
-    for spec, cache in zip(reversed(net.layers), reversed(caches)):
+    inputs = [image] + outputs[:-1]
+    for spec, x, out in zip(reversed(net.layers), reversed(inputs), reversed(outputs)):
         if isinstance(spec, DenseSpec):
             dense_i -= 1
-            _, vin, relu_mask = cache
             w, _ = dense_params[dense_i]
+            vin = np.maximum(x, 0.0) if dense_i > 0 else x
             dense_grads[dense_i] = (np.outer(grad, vin), grad.copy())
             grad = w.T @ grad
-            if relu_mask is not None:
-                grad = grad * relu_mask
+            if dense_i > 0:
+                grad = grad * (x > 0)
         elif isinstance(spec, FlattenSpec):
-            grad = grad.reshape(cache[1])
+            grad = grad.reshape(x.shape)
         elif isinstance(spec, PoolSpec):
-            _, idx, in_shape = cache
-            c, h, wd = in_shape
-            flat = np.zeros((c, h // 2, wd // 2, 4))
-            np.put_along_axis(flat, idx[..., None], grad[..., None], axis=3)
+            c, h, wd = x.shape
+            windows = x.reshape(c, h // 2, 2, wd // 2, 2).transpose(0, 1, 3, 2, 4)
+            idx = windows.reshape(c, h // 2, wd // 2, 4).argmax(axis=3)  # first max wins ties
+            flat = np.where(np.arange(4) == idx[..., None], grad[..., None], 0.0)
             grad = flat.reshape(c, h // 2, wd // 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h, wd)
         elif isinstance(spec, ConvSpec):
             conv_i -= 1
-            _, cols, pre_mask, in_shape, _, _ = cache
             w, _ = conv_params[conv_i]
-            dpre = grad.reshape(w.shape[0], -1) * pre_mask
-            dw = (dpre @ cols.T).reshape(w.shape)
+            dpre = grad.reshape(w.shape[0], -1) * (out.reshape(w.shape[0], -1) > 0)
+            dw = (dpre @ cols[conv_i].T).reshape(w.shape)
             db = dpre.sum(axis=1)
             conv_grads[conv_i] = (dw, db)
             dcols = w.reshape(w.shape[0], -1).T @ dpre
-            grad = ops.col2im(dcols, in_shape, spec.stride, spec.padding)
+            grad = ops.col2im(dcols, x.shape, spec.stride, spec.padding)
     return conv_grads, dense_grads
+
+
+def _loss_and_grads(net, conv_params, dense_params, image, label):
+    """Cross-entropy loss of one sample and its (conv, dense) gradients."""
+    logits, outputs, cols = _forward(net, conv_params, dense_params, image)
+    loss, probs = ops.softmax_cross_entropy(logits, label)
+    dlogits = probs.copy()
+    dlogits[label] -= 1.0
+    return loss, _backward(net, conv_params, dense_params, image, outputs, cols, dlogits)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +185,7 @@ def _quantized_view(net, shadow: FloatModel, config: TrainConfig):
 def _dataset_top1(net, conv_params, dense_params, dataset) -> float:
     hits = 0
     for image, label in dataset:
-        logits, _ = _forward_cached(net, conv_params, dense_params, image)
+        logits, _, _ = _forward(net, conv_params, dense_params, image)
         hits += int(np.argmax(logits) == label)
     return hits / len(dataset)
 
@@ -206,15 +208,11 @@ def _sgd(net, shadow: FloatModel, dataset, config: TrainConfig) -> list[EpochMet
             dense_acc = [(np.zeros_like(w), np.zeros_like(b)) for w, b in shadow.dense]
             for idx in batch:
                 image, label = dataset[idx]
-                logits, caches = _forward_cached(net, view, shadow.dense, image)
-                loss, probs = ops.softmax_cross_entropy(logits, label)
+                loss, (cg, dg) = _loss_and_grads(net, view, shadow.dense, image, label)
                 if not np.isfinite(loss):
                     raise DivergenceError(
                         f"non-finite loss at epoch {epoch}, sample {idx}")
                 loss_sum += loss
-                dlogits = probs.copy()
-                dlogits[label] -= 1.0
-                cg, dg = _backward_cached(net, view, shadow.dense, caches, dlogits)
                 for (aw, ab), (gw, gb) in zip(conv_acc, cg):
                     aw += gw
                     ab += gb
@@ -274,14 +272,10 @@ def gradient_check(net: NetworkDefinition, model: FloatModel, sample,
     params = list(model.conv) + list(model.dense)
 
     def loss_at() -> float:
-        logits, _ = _forward_cached(net, model.conv, model.dense, image)
+        logits, _, _ = _forward(net, model.conv, model.dense, image)
         return ops.softmax_cross_entropy(logits, label)[0]
 
-    logits, caches = _forward_cached(net, model.conv, model.dense, image)
-    loss, probs = ops.softmax_cross_entropy(logits, label)
-    dlogits = probs.copy()
-    dlogits[label] -= 1.0
-    conv_grads, dense_grads = _backward_cached(net, model.conv, model.dense, caches, dlogits)
+    _, (conv_grads, dense_grads) = _loss_and_grads(net, model.conv, model.dense, image, label)
     grads = list(conv_grads) + list(dense_grads)
 
     flat_grads = []

@@ -185,6 +185,25 @@ def test_quantize_inspect_infer_flow(ws, capsys):
     capsys.readouterr()
 
 
+def test_weights_of_the_wrong_kind_for_the_mode_exit_2(ws, capsys):
+    qcm = ws["root"] / "mode_check.qcm"
+    assert dispatch(["quantize", "--net", str(ws["net"]), "--weights", str(ws["weights"]),
+                     "--profile", "1,1", "--out", str(qcm)]) == EXIT_OK
+    capsys.readouterr()
+    assert dispatch(["infer", "--net", str(ws["net"]), "--weights", str(ws["weights"]),
+                     "--image", str(ws["corpus"] / "1000.img"),
+                     "--mode", "integer"]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "integer mode needs a compressed model (.qcm)" in captured.err
+    out = ws["root"] / "wrong_kind.qds"
+    assert dispatch(["extract", "--net", str(ws["net"]), "--weights", str(qcm),
+                     "--images", str(ws["corpus"]), "--mode", "float",
+                     "--out", str(out)]) == EXIT_DATA
+    assert "float mode needs float weights (.qfw)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_inspect_accounting_only_mode(capsys):
     from qnip import config_path
     assert dispatch(["inspect", "--net", str(config_path("vgg16")),

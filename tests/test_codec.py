@@ -296,7 +296,8 @@ def test_decode_rejects_mistyped_metadata():
     data = encode(_hand_model(_hand_layer([1] * 9)))
     start = data.index(b'{"dense"')  # the canonical JSON trailer, after its u32 length
     head, meta = data[:start - 4], json.loads(data[start:])
-    for key, value in [("network", 5), ("network", {"a": 1}), ("dense", [5]), ("dense", 5)]:
+    for key, value in [("network", 5), ("network", {"a": 1}), ("dense", [5]), ("dense", 5),
+                       ("source", 5)]:
         raw = json.dumps({**meta, key: value}).encode()
         with pytest.raises(CorruptionError, match="bad metadata block"):
             decode(head + struct.pack("<I", len(raw)) + raw)

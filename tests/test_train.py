@@ -112,12 +112,16 @@ def test_gradient_check_fc_only():
 
 
 def test_gradient_check_full_stack():
-    net = parse_network(NET_TEXT)
     from qnip.network import init_float_model
 
-    model = init_float_model(net, np.random.default_rng(2))
-    sample = (np.random.default_rng(3).uniform(0, 1, (3, 16, 16)), 0)
-    assert gradient_check(net, model, sample, n_checks=60, seed=0) < 1e-3
+    # the second net puts a strided col2im and a ReLU mask between dense layers
+    strided = ("input 3 12 12\nconv 4 stride=2 pad=1\nconv 3 pad=1 tap\npool\n"
+               "flatten\ndense 5\ndense 3\n")
+    for text, shape in [(NET_TEXT, (3, 16, 16)), (strided, (3, 12, 12))]:
+        net = parse_network(text)
+        model = init_float_model(net, np.random.default_rng(2))
+        sample = (np.random.default_rng(3).uniform(0, 1, shape), 0)
+        assert gradient_check(net, model, sample, n_checks=60, seed=0) < 1e-3, text
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
