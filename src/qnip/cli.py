@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import codec, datasets, descriptor, engine, network, retrieval, train
+from .binfile import Reader
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
 
@@ -41,8 +42,8 @@ def _say(*parts) -> None:
 
 def _load_weights(path, mode):
     """FloatModel or CompressedModel, sniffed by magic, as the engine mode needs."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
+    data = Path(path).read_bytes()
+    magic = data[:4]
     if magic not in (network.FLOAT_MAGIC, codec.MAGIC):
         raise ValueError(f"{path}: neither a float-weights nor a compressed-model file")
     # engine.forward raises TypeError on a mismatch, which dispatch does not catch
@@ -50,7 +51,8 @@ def _load_weights(path, mode):
         raise ValueError(f"{path}: float mode needs float weights (.qfw)")
     if mode != "float" and magic != codec.MAGIC:
         raise ValueError(f"{path}: {mode} mode needs a compressed model (.qcm)")
-    return network.load_float_model(path) if mode == "float" else codec.load_model(path)
+    parse = network._parse_float_model if mode == "float" else codec._decode
+    return parse(Reader(data, magic, "a weights file", path))
 
 
 def _worker_count(text: str) -> int:

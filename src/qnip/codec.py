@@ -41,7 +41,7 @@ from .network import (FloatModel, NetworkDefinition, check_model_matches, dense_
                       model_checksum, parse_network)
 from .ops import KERNEL_WEIGHTS
 from .quantize import (DEFAULT_POLICY, POLICIES, SHIFT_MAX, SHIFT_MIN, QuantizedLayer,
-                       global_shift, mask_levels, quantize_layer)
+                       dequantize_layer, global_shift, mask_levels, quantize_layer)
 
 MAGIC = b"QCM2"
 _KIND = "a compressed-model container"
@@ -182,41 +182,44 @@ class CompressedModel:
                 and self.source_checksum == other.source_checksum)
 
 
-def build_compressed_model(net: NetworkDefinition, model: FloatModel, profile,
-                           policy: str = DEFAULT_POLICY,
-                           shift_scope: str = "layer") -> CompressedModel:
-    """Quantize a float model layer by layer into a container.
+def quantize_conv_layers(net: NetworkDefinition, conv, profile, policy: str = DEFAULT_POLICY,
+                         shift_scope: str = "layer") -> list[QuantizedLayer | None]:
+    """One QuantizedLayer per conv layer, None where the profile entry is None.
 
     shift_scope "layer" picks each conv layer's shift from its own alphas;
-    "global" derives one shift from the maximum alpha across all layers.
+    "global" derives one shift from the maximum alpha across quantized layers.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     if shift_scope not in ("layer", "global"):
         raise ValueError(f"shift_scope must be 'layer' or 'global', got {shift_scope!r}")
-    check_model_matches(net, model)
-    prof = _checked_profile(net, profile)
-
-    override = (global_shift([w for w, _ in model.conv], prof, policy)
+    shapes = net.conv_layer_shapes()
+    if len(profile) != len(shapes):
+        raise ValueError(f"profile covers {len(profile)} layers, network has {len(shapes)}")
+    override = (global_shift([w for w, _ in conv], profile, policy)
                 if shift_scope == "global" else None)
-    layers = []
-    for shape, (w, b), m in zip(net.conv_layer_shapes(), model.conv, prof):
-        layers.append(quantize_layer(w, b, m, policy, shape.stride, shape.padding,
-                                     shift_override=override))
+    return [None if m is None else quantize_layer(w, b, int(m), policy, shape.stride,
+                                                  shape.padding, shift_override=override)
+            for shape, (w, b), m in zip(shapes, conv, profile)]
+
+
+def build_compressed_model(net: NetworkDefinition, model: FloatModel, profile,
+                           policy: str = DEFAULT_POLICY,
+                           shift_scope: str = "layer") -> CompressedModel:
+    """Container of quantize_conv_layers' layers; no profile entry may be None."""
+    check_model_matches(net, model)
+    if any(m is None for m in profile):
+        raise ValueError("float-layer sentinel not allowed here; profile must be all-integer")
+    layers = quantize_conv_layers(net, model.conv, profile, policy, shift_scope)
     dense = [(np.asarray(w, np.float32), np.asarray(b, np.float32)) for w, b in model.dense]
     return CompressedModel(net, layers, dense, policy, model_checksum(model))
 
 
 def dequantized_float_model(model: CompressedModel) -> FloatModel:
     """Reconstruct float weights from the container (dense head widened)."""
-    from .quantize import dequantize_layer
-
-    out = FloatModel()
-    for layer in model.layers:
-        out.conv.append(dequantize_layer(layer))
-    out.dense = [(np.asarray(w, np.float64), np.asarray(b, np.float64))
-                 for w, b in model.dense]
-    return out
+    return FloatModel([dequantize_layer(layer) for layer in model.layers],
+                      [(np.asarray(w, np.float64), np.asarray(b, np.float64))
+                       for w, b in model.dense])
 
 
 # ---------------------------------------------------------------------------

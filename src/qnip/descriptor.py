@@ -94,26 +94,22 @@ def roi_grid(levels: Iterable[int]) -> list[tuple[float, float, float, float]]:
     return rects
 
 
-def _region_pool(fmap: np.ndarray, rect) -> np.ndarray:
-    region = ops.crop(fmap, rect)
-    return np.sqrt(region).mean(axis=(1, 2)) ** 2
+def nip_pool(taps: Sequence[Sequence[np.ndarray]], rects=(FULL_FRAME,)) -> Descriptor:
+    """Run the sqrt-mean / average / max chain over every rect of every map.
 
-
-def nip_pool(rotation_sets: Sequence[Sequence[tuple[np.ndarray, tuple]]]) -> Descriptor:
-    """Run the sqrt-mean / average / max chain over (feature map, rect) regions.
-
-    rotation_sets[r] lists the regions contributed by rotation r. All
-    feature maps must share a channel count and be non-negative.
+    taps[r] lists the feature maps contributed by rotation r, and each
+    rect of each map is one region. All feature maps must share a channel
+    count and be non-negative.
     """
-    if not rotation_sets:
+    if not taps:
         raise ValueError("need at least one rotation")
     channels = None
     per_rotation = []
-    for r, regions in enumerate(rotation_sets):
-        if not regions:
+    for r, maps in enumerate(taps):
+        if not maps or not rects:
             raise ValueError(f"rotation {r} contributes no regions")
         pooled = []
-        for fmap, rect in regions:
+        for fmap in maps:
             fmap = np.asarray(fmap, dtype=np.float64)
             if fmap.ndim != 3:
                 raise ops.ShapeError(f"feature map must be C,H,W, got {fmap.shape}")
@@ -124,7 +120,8 @@ def nip_pool(rotation_sets: Sequence[Sequence[tuple[np.ndarray, tuple]]]) -> Des
                     f"feature maps disagree on channels: {fmap.shape[0]} vs {channels}")
             if fmap.min(initial=0.0) < 0.0:
                 raise ValueError("feature maps must be non-negative (post-ReLU)")
-            pooled.append(_region_pool(fmap, rect))
+            roots = np.sqrt(fmap)
+            pooled.extend(ops.crop(roots, rect).mean(axis=(1, 2)) ** 2 for rect in rects)
         per_rotation.append(np.mean(pooled, axis=0))
     d = np.max(per_rotation, axis=0)
     norm = float(np.sqrt(np.sum(d * d)))
@@ -195,7 +192,7 @@ def extract_nip(net: NetworkDefinition, weights, image: np.ndarray,
     """
     rects = roi_grid(roi_levels)
     taps = _orbit_taps(net, weights, orbit_inputs(net, image, "nip"), mode, act_exponents)
-    return nip_pool([[(tap, rect) for rect in rects] for (tap,) in taps])
+    return nip_pool(taps, rects)
 
 
 def extract_rnip(net: NetworkDefinition, weights, image: np.ndarray,
@@ -210,7 +207,7 @@ def extract_rnip(net: NetworkDefinition, weights, image: np.ndarray,
     """
     orbit = orbit_inputs(net, image, "rnip", crop_levels, rotations)
     taps = _orbit_taps(net, weights, orbit, mode, act_exponents)
-    return nip_pool([[(tap, FULL_FRAME) for tap in row] for row in taps])
+    return nip_pool(taps)
 
 
 def quantize_descriptor(desc: Descriptor) -> Descriptor:

@@ -255,6 +255,10 @@ class FloatModel:
     conv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     dense: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
+    def arrays(self) -> list[np.ndarray]:
+        """Every parameter array in the one fixed order: w, b of each conv, then each dense."""
+        return [a for pair in (*self.conv, *self.dense) for a in pair]
+
     def copy(self) -> "FloatModel":
         return FloatModel(
             conv=[(w.copy(), b.copy()) for w, b in self.conv],
@@ -296,13 +300,10 @@ def check_model_matches(net: NetworkDefinition, model: FloatModel) -> None:
 
 
 def save_float_model(path, model: FloatModel) -> None:
-    arrays: list[np.ndarray] = []
-    for w, b in model.conv + model.dense:
-        arrays.extend([w, b])
     blob = bytearray()
     blob += FLOAT_MAGIC
     blob += struct.pack("<HH", len(model.conv), len(model.dense))
-    for arr in arrays:
+    for arr in model.arrays():
         arr = np.asarray(arr, dtype=np.float64)
         blob += struct.pack("<B", arr.ndim)
         blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
@@ -312,7 +313,11 @@ def save_float_model(path, model: FloatModel) -> None:
 
 
 def load_float_model(path) -> FloatModel:
-    rd = Reader(Path(path).read_bytes(), FLOAT_MAGIC, "a float model file", path)
+    return _parse_float_model(Reader(Path(path).read_bytes(), FLOAT_MAGIC,
+                                     "a float model file", path))
+
+
+def _parse_float_model(rd: Reader) -> FloatModel:
     n_conv, n_dense = rd.unpack("<HH", "header")
     arrays = []
     for k in range(2 * (n_conv + n_dense)):
@@ -328,7 +333,6 @@ def load_float_model(path) -> FloatModel:
 def model_checksum(model: FloatModel) -> str:
     """sha256 over the flattened float64 parameters, for provenance fields."""
     digest = hashlib.sha256()
-    for w, b in model.conv + model.dense:
-        digest.update(np.ascontiguousarray(w, dtype=np.float64).tobytes())
-        digest.update(np.ascontiguousarray(b, dtype=np.float64).tobytes())
+    for arr in model.arrays():
+        digest.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
     return digest.hexdigest()

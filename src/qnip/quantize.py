@@ -128,15 +128,14 @@ def _kernel_matrix(weights: np.ndarray, what: str) -> np.ndarray:
 
 def _alphas_masks_1bit(flat: np.ndarray, policy: str) -> tuple[np.ndarray, np.ndarray]:
     if policy == "xnor-abs-mean":
-        masks = np.where(flat > 0.0, 1, -1).astype(np.int8)
+        t = 0.0
         alphas = np.abs(flat).mean(axis=1)
     elif policy == "literal-mean":
         t = flat.mean(axis=1, keepdims=True)
-        masks = np.where(flat > t, 1, -1).astype(np.int8)
         alphas = np.abs(flat - t).mean(axis=1)
     else:
         raise ValueError(f"unknown 1-bit policy {policy!r}, expected one of {POLICIES}")
-    return alphas, masks
+    return alphas, (flat > t).astype(np.int8) * 2 - 1
 
 
 def _alphas_masks_multibit(flat: np.ndarray, mask_bits: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,17 +1,17 @@
 """Plain-SGD training and quantization-aware retraining.
 
 Retraining keeps a full-precision *shadow* copy of every parameter. Each
-step runs forward and loss with the quantized weights (alpha, mask and
-shift refreshed from the shadow once per epoch by default, or per step
-with ``refresh="step"``), then applies the gradient straight through to
-the shadow weights — the quantizer is treated as identity in the backward
-pass. Layers whose profile entry is None (the "keep float" sentinel) skip
-quantization entirely; with an all-None profile the loop reproduces plain
-float training bit for bit.
+step runs forward and loss with the shadow quantized by
+codec.quantize_conv_layers, the quantizer of the container (refreshed once
+per epoch by default, or per step with ``refresh="step"``), then applies
+the gradient straight through to the shadow weights. Layers whose profile
+entry is None (the "keep float" sentinel) stay float; with an all-None
+profile the loop reproduces plain float training bit for bit.
 
 The forward pass is inference's engine._walk with training's own conv step
 (im2col + GEMM + ReLU, keeping each cols matrix for the backward pass) and
 2x2 max pool step; the backward pass reads the layer outputs it records.
+Gradients and SGD updates run over one flat list in FloatModel.arrays order.
 
 Everything is deterministic given TrainConfig.seed: initialization draws
 from default_rng([seed, 0]), epoch shuffles from default_rng([seed, 1]).
@@ -20,16 +20,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import engine, ops
-from .codec import CompressedModel, build_compressed_model
+from .codec import CompressedModel, build_compressed_model, quantize_conv_layers
 from .network import (ConvSpec, DenseSpec, FlattenSpec, FloatModel,
                       NetworkDefinition, PoolSpec, check_model_matches,
                       init_float_model)
-from .quantize import DEFAULT_POLICY, dequantize_layer, global_shift, quantize_layer
+from .quantize import DEFAULT_POLICY, dequantize_layer
 
 
 class DivergenceError(RuntimeError):
@@ -107,9 +108,16 @@ def _forward(net, conv_params, dense_params, image):
     return logits, outputs, cols
 
 
+def _pool_winners(x):
+    """Index 0..3 of each 2x2 window's max in row-major window order; first max wins ties."""
+    c, h, wd = x.shape
+    windows = x.reshape(c, h // 2, 2, wd // 2, 2).transpose(0, 1, 3, 2, 4)
+    return windows.reshape(c, h // 2, wd // 2, 4).argmax(axis=3)
+
+
 def _backward(net, conv_params, dense_params, image, outputs, cols, dlogits):
-    conv_grads = [None] * len(conv_params)
-    dense_grads = [None] * len(dense_params)
+    """Gradients of every parameter, in FloatModel.arrays order."""
+    grads = []  # last layer first, b before w; reversed on return
     conv_i = len(conv_params)
     dense_i = len(dense_params)
     grad = dlogits
@@ -119,7 +127,7 @@ def _backward(net, conv_params, dense_params, image, outputs, cols, dlogits):
             dense_i -= 1
             w, _ = dense_params[dense_i]
             vin = np.maximum(x, 0.0) if dense_i > 0 else x
-            dense_grads[dense_i] = (np.outer(grad, vin), grad.copy())
+            grads += [grad.copy(), np.outer(grad, vin)]
             grad = w.T @ grad
             if dense_i > 0:
                 grad = grad * (x > 0)
@@ -127,24 +135,20 @@ def _backward(net, conv_params, dense_params, image, outputs, cols, dlogits):
             grad = grad.reshape(x.shape)
         elif isinstance(spec, PoolSpec):
             c, h, wd = x.shape
-            windows = x.reshape(c, h // 2, 2, wd // 2, 2).transpose(0, 1, 3, 2, 4)
-            idx = windows.reshape(c, h // 2, wd // 2, 4).argmax(axis=3)  # first max wins ties
-            flat = np.where(np.arange(4) == idx[..., None], grad[..., None], 0.0)
+            flat = np.where(np.arange(4) == _pool_winners(x)[..., None], grad[..., None], 0.0)
             grad = flat.reshape(c, h // 2, wd // 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h, wd)
         elif isinstance(spec, ConvSpec):
             conv_i -= 1
             w, _ = conv_params[conv_i]
             dpre = grad.reshape(w.shape[0], -1) * (out.reshape(w.shape[0], -1) > 0)
-            dw = (dpre @ cols[conv_i].T).reshape(w.shape)
-            db = dpre.sum(axis=1)
-            conv_grads[conv_i] = (dw, db)
+            grads += [dpre.sum(axis=1), (dpre @ cols[conv_i].T).reshape(w.shape)]
             dcols = w.reshape(w.shape[0], -1).T @ dpre
             grad = ops.col2im(dcols, x.shape, spec.stride, spec.padding)
-    return conv_grads, dense_grads
+    return grads[::-1]
 
 
 def _loss_and_grads(net, conv_params, dense_params, image, label):
-    """Cross-entropy loss of one sample and its (conv, dense) gradients."""
+    """Cross-entropy loss of one sample and its gradients, in FloatModel.arrays order."""
     logits, outputs, cols = _forward(net, conv_params, dense_params, image)
     loss, probs = ops.softmax_cross_entropy(logits, label)
     dlogits = probs.copy()
@@ -161,25 +165,11 @@ def _quantized_view(net, shadow: FloatModel, config: TrainConfig):
     Entries with profile None alias the shadow arrays, so those layers
     track every SGD update like plain float training.
     """
-    profile = config.profile
-    if profile is None:
+    if config.profile is None:
         return shadow.conv
-    shapes = net.conv_layer_shapes()
-    if len(profile) != len(shapes):
-        raise ValueError(f"profile covers {len(profile)} layers, net has {len(shapes)}")
-
-    override = (global_shift([w for w, _ in shadow.conv], profile, config.policy)
-                if config.shift_scope == "global" else None)
-
-    view = []
-    for shape, (w, b), m in zip(shapes, shadow.conv, profile):
-        if m is None:
-            view.append((w, b))
-        else:
-            q = quantize_layer(w, b, int(m), config.policy, shape.stride, shape.padding,
-                              shift_override=override)
-            view.append(dequantize_layer(q))
-    return view
+    layers = quantize_conv_layers(net, shadow.conv, config.profile, config.policy,
+                                  config.shift_scope)
+    return [pair if q is None else dequantize_layer(q) for pair, q in zip(shadow.conv, layers)]
 
 
 def _dataset_top1(net, conv_params, dense_params, dataset) -> float:
@@ -195,39 +185,32 @@ def _sgd(net, shadow: FloatModel, dataset, config: TrainConfig) -> list[EpochMet
         raise ValueError("empty dataset")
     rng = np.random.default_rng([config.seed, 1])
     n = len(dataset)
+    params = shadow.arrays()
+    view = _quantized_view(net, shadow, config)
     metrics = []
     for epoch in range(config.epochs):
-        view = _quantized_view(net, shadow, config)
         order = rng.permutation(n)
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
             if config.refresh == "step":
                 view = _quantized_view(net, shadow, config)
             batch = order[start:start + config.batch_size]
-            conv_acc = [(np.zeros_like(w), np.zeros_like(b)) for w, b in shadow.conv]
-            dense_acc = [(np.zeros_like(w), np.zeros_like(b)) for w, b in shadow.dense]
+            acc = [np.zeros_like(p) for p in params]
             for idx in batch:
                 image, label = dataset[idx]
-                loss, (cg, dg) = _loss_and_grads(net, view, shadow.dense, image, label)
+                loss, grads = _loss_and_grads(net, view, shadow.dense, image, label)
                 if not np.isfinite(loss):
                     raise DivergenceError(
                         f"non-finite loss at epoch {epoch}, sample {idx}")
                 loss_sum += loss
-                for (aw, ab), (gw, gb) in zip(conv_acc, cg):
-                    aw += gw
-                    ab += gb
-                for (aw, ab), (gw, gb) in zip(dense_acc, dg):
-                    aw += gw
-                    ab += gb
+                for a, g in zip(acc, grads):
+                    a += g
             scale = config.learning_rate / len(batch)
-            for (w, b), (gw, gb) in zip(shadow.conv, conv_acc):
-                w -= scale * gw
-                b -= scale * gb
-            for (w, b), (gw, gb) in zip(shadow.dense, dense_acc):
-                w -= scale * gw
-                b -= scale * gb
-        final_view = _quantized_view(net, shadow, config)
-        top1 = _dataset_top1(net, final_view, shadow.dense, dataset)
+            for p, a in zip(params, acc):
+                p -= scale * a
+        # quantized from the epoch's final shadow: scored here, trained on next epoch
+        view = _quantized_view(net, shadow, config)
+        top1 = _dataset_top1(net, view, shadow.dense, dataset)
         metrics.append(EpochMetrics(epoch, loss_sum / n, top1))
     return metrics
 
@@ -260,48 +243,55 @@ def retrain_quantized(net: NetworkDefinition, float_weights: FloatModel, dataset
     return RetrainResult(model, shadow, metrics)
 
 
+def _switches(net, image, outputs) -> np.ndarray:
+    """ReLU signs (of every layer output but the logits) and pool winners of one
+    forward pass, as one flat array: the loss is smooth while it stays the same."""
+    pools = [x for spec, x in zip(net.layers, [image] + outputs) if isinstance(spec, PoolSpec)]
+    return np.concatenate([(y > 0).ravel() for y in outputs[:-1]]
+                          + [_pool_winners(x).ravel() for x in pools])
+
+
 def gradient_check(net: NetworkDefinition, model: FloatModel, sample,
                    n_checks: int = 30, step: float = 1e-4, seed: int = 0) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    Probes n_checks randomly chosen parameter coordinates on one
-    (image, label) sample.
+    Probes min(n_checks, parameter count) random parameter coordinates on one
+    (image, label) sample. A probe whose +-step pass flips a ReLU sign or a
+    pool winner straddles a kink of the loss; it is replaced by an unprobed one.
     """
     check_model_matches(net, model)
     image, label = sample
-    params = list(model.conv) + list(model.dense)
+    params = model.arrays()
 
-    def loss_at() -> float:
-        logits, _, _ = _forward(net, model.conv, model.dense, image)
-        return ops.softmax_cross_entropy(logits, label)[0]
+    def probe():
+        logits, outputs, _ = _forward(net, model.conv, model.dense, image)
+        return ops.softmax_cross_entropy(logits, label)[0], _switches(net, image, outputs)
 
-    _, (conv_grads, dense_grads) = _loss_and_grads(net, model.conv, model.dense, image, label)
-    grads = list(conv_grads) + list(dense_grads)
-
-    flat_grads = []
-    arrays = []
-    for (w, b), (gw, gb) in zip(params, grads):
-        arrays.extend([w, b])
-        flat_grads.extend([gw, gb])
-    sizes = np.array([a.size for a in arrays])
-    total = int(sizes.sum())
-
-    rng = np.random.default_rng(seed)
-    coords = rng.choice(total, size=min(n_checks, total), replace=False)
-    worst = 0.0
-    for coord in coords:
-        a_i = int(np.searchsorted(np.cumsum(sizes), coord, side="right"))
-        offset = int(coord - np.concatenate([[0], np.cumsum(sizes)])[a_i])
-        arr = arrays[a_i]
-        where = np.unravel_index(offset, arr.shape)
+    def error_at(coord):
+        i = int(np.searchsorted(offsets, coord, side="right")) - 1
+        arr = params[i]
+        where = np.unravel_index(int(coord - offsets[i]), arr.shape)
         keep = arr[where]
         arr[where] = keep + step
-        plus = loss_at()
+        plus, plus_at = probe()
         arr[where] = keep - step
-        minus = loss_at()
+        minus, minus_at = probe()
         arr[where] = keep
+        if not (np.array_equal(plus_at, base) and np.array_equal(minus_at, base)):
+            return None
         numeric = (plus - minus) / (2 * step)
-        analytic = float(flat_grads[a_i][where])
-        err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
-        worst = max(worst, err)
-    return worst
+        analytic = float(grads[i][where])
+        return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
+
+    _, grads = _loss_and_grads(net, model.conv, model.dense, image, label)
+    _, base = probe()
+    offsets = np.cumsum([0] + [p.size for p in params])
+    total = int(offsets[-1])
+    want = min(n_checks, total)
+    rng = np.random.default_rng(seed)
+    first = rng.choice(total, size=want, replace=False)
+    errors = [e for e in map(error_at, first) if e is not None]
+    if len(errors) < want:  # replace skipped probes, in random order of the unprobed ones
+        rest = rng.permutation(np.setdiff1d(np.arange(total), first))
+        errors += islice((e for e in map(error_at, rest) if e is not None), want - len(errors))
+    return max(errors, default=0.0)

@@ -1,6 +1,10 @@
-"""End-to-end command-line flows, exit codesTests and artifact determinism."""
+"""End-to-end command-line flows, exit codes and artifact determinism."""
 
+import builtins
+import io
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +187,24 @@ def test_quantize_inspect_infer_flow(ws, capsys):
     assert rc == EXIT_OK
     assert qcm.read_bytes() == first
     capsys.readouterr()
+
+
+def test_infer_reads_the_weights_file_once(ws, monkeypatch, capsys):
+    real_open = io.open
+    weights = ws["weights"].resolve()
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(file).resolve() == weights:
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)  # behind Path.read_bytes
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert dispatch(["infer", "--net", str(ws["net"]), "--weights", str(ws["weights"]),
+                     "--image", str(ws["corpus"] / "1000.img"), "--topk", "1"]) == EXIT_OK
+    capsys.readouterr()
+    assert len(opened) == 1
 
 
 def test_weights_of_the_wrong_kind_for_the_mode_exit_2(ws, capsys):

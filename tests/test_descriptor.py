@@ -50,31 +50,31 @@ def test_roi_grid_rejects_bad_levels():
 
 def test_nip_pool_single_region_hand_values():
     fmap = np.array([[[4.0]]])
-    desc = nip_pool([[(fmap, FULL_FRAME)]])
+    desc = nip_pool([[fmap]])
     assert desc.precision == "real"
     assert np.allclose(desc.values, [1.0])
 
     two_channel = np.array([[[4.0]], [[9.0]]])
-    desc = nip_pool([[(two_channel, FULL_FRAME)]])
+    desc = nip_pool([[two_channel]])
     assert np.allclose(desc.values, np.array([4.0, 9.0]) / np.sqrt(16.0 + 81.0))
 
 
 def test_nip_pool_sqrt_mean_square_semantics():
     # (mean sqrt)^2 of [1, 9] is 4, not the plain mean 5
     fmap = np.array([[[1.0, 9.0]]])
-    desc = nip_pool([[(fmap, FULL_FRAME)]])
+    desc = nip_pool([[fmap]])
     assert np.allclose(desc.values, [1.0])
     two = np.array([[[1.0, 9.0]], [[4.0, 4.0]]])
-    desc = nip_pool([[(two, FULL_FRAME)]])
+    desc = nip_pool([[two]])
     assert np.allclose(desc.values, np.array([4.0, 4.0]) / np.sqrt(32.0))
 
 
 def test_nip_pool_max_over_rotations():
     a = np.array([[[4.0]], [[1.0]]])
     b = np.array([[[1.0]], [[9.0]]])
-    desc = nip_pool([[(a, FULL_FRAME)], [(b, FULL_FRAME)]])
+    desc = nip_pool([[a], [b]])
     assert np.allclose(desc.values, np.array([4.0, 9.0]) / np.sqrt(97.0))
-    flipped = nip_pool([[(b, FULL_FRAME)], [(a, FULL_FRAME)]])
+    flipped = nip_pool([[b], [a]])
     assert np.array_equal(desc.values, flipped.values)
 
 
@@ -82,11 +82,11 @@ def test_nip_pool_mean_over_regions():
     fmap = np.array([[[1.0, 9.0]]])
     left = (0.0, 0.0, 0.5, 1.0)
     right = (0.5, 0.0, 1.0, 1.0)
-    desc = nip_pool([[(fmap, left), (fmap, right)]])
+    desc = nip_pool([[fmap]], [left, right])
     # region pools are 1 and 9; averaged to 5, then normalized to unit length
     assert np.allclose(desc.values, [1.0])
     two = np.array([[[1.0, 9.0]], [[4.0, 16.0]]])
-    desc = nip_pool([[(two, left), (two, right)]])
+    desc = nip_pool([[two]], [left, right])
     assert np.allclose(desc.values, np.array([5.0, 10.0]) / np.sqrt(125.0))
 
 
@@ -96,14 +96,13 @@ def test_nip_pool_validation():
     with pytest.raises(ValueError):
         nip_pool([[]])
     with pytest.raises(ValueError):
-        nip_pool([[(np.array([[[-1.0]]]), FULL_FRAME)]])
+        nip_pool([[np.array([[[-1.0]]])]])
     with pytest.raises(Exception):
-        nip_pool([[(np.array([[[1.0]]]), FULL_FRAME)],
-                  [(np.array([[[1.0]], [[2.0]]]), FULL_FRAME)]])
+        nip_pool([[np.array([[[1.0]]])], [np.array([[[1.0]], [[2.0]]])]])
 
 
 def test_nip_pool_zero_features_stay_zero():
-    desc = nip_pool([[(np.zeros((3, 2, 2)), FULL_FRAME)]])
+    desc = nip_pool([[np.zeros((3, 2, 2))]])
     assert np.array_equal(desc.values, np.zeros(3))
 
 
