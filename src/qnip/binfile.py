@@ -1,8 +1,8 @@
-"""One bounds-checked reader for every qnip binary format.
+"""One bounds-checked reader and writer for every qnip binary format.
 
 QCM2 containers, QFW1 float weights, QDS1 descriptor files and IMG1
 rasters are all parsed front to back through a Reader, so they share one
-error contract:
+read contract:
 
   * bytes that do not start with the format's magic raise FormatError;
   * a stream that ends inside a field raises TruncationError, whose
@@ -11,6 +11,10 @@ error contract:
 
 All of these are CodecErrors, and CodecError is a ValueError. A reader
 built with a source (a file path) prefixes its messages with it.
+
+Writers pack every fixed-width header field through pack, so a value that
+does not fit its field raises EncodeError naming the field, and build the
+whole byte string before writing it, so a failed save leaves no file.
 """
 from __future__ import annotations
 
@@ -35,6 +39,18 @@ class TruncationError(CodecError):
 
 class CorruptionError(CodecError):
     pass
+
+
+class EncodeError(CodecError):
+    """A value cannot be written in its format."""
+
+
+def pack(fmt: str, what: str, *values) -> bytes:
+    """struct.pack, raising EncodeError that names WHAT when a value does not fit."""
+    try:
+        return struct.pack(fmt, *values)
+    except struct.error as err:
+        raise EncodeError(f"{what} = {values} does not fit {fmt!r}: {err}") from None
 
 
 class Reader:

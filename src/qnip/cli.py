@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import codec, datasets, descriptor, engine, network, retrieval, train
+from . import codec, datasets, descriptor, engine, network, quantize, retrieval, train
 from .binfile import Reader
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
@@ -82,9 +82,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--net", required=True)
     p.add_argument("--weights", required=True)
     p.add_argument("--profile", required=True, help='per-layer mask bits, e.g. "3x7,1x6"')
-    p.add_argument("--policy", default="xnor-abs-mean",
-                   choices=["xnor-abs-mean", "literal-mean"])
-    p.add_argument("--shift-scope", default="layer", choices=["layer", "global"])
+    p.add_argument("--policy", default=quantize.DEFAULT_POLICY, choices=quantize.POLICIES)
+    p.add_argument("--shift-scope", default="layer", choices=codec.SHIFT_SCOPES)
     p.add_argument("--out", required=True)
 
     p = verb("inspect", "layer table, ratio and sizes of a container")
@@ -114,10 +113,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--weights", required=True, help="pretrained float weights (.qfw)")
     p.add_argument("--data", required=True)
     p.add_argument("--profile", required=True)
-    p.add_argument("--policy", default="xnor-abs-mean",
-                   choices=["xnor-abs-mean", "literal-mean"])
+    p.add_argument("--policy", default=quantize.DEFAULT_POLICY, choices=quantize.POLICIES)
     p.add_argument("--refresh", default="epoch", choices=["epoch", "step"])
-    p.add_argument("--shift-scope", default="layer", choices=["layer", "global"])
+    p.add_argument("--shift-scope", default="layer", choices=codec.SHIFT_SCOPES)
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--batch-size", type=int, default=16)
@@ -211,7 +209,7 @@ def _cmd_inspect(args) -> int:
     elif args.net and args.profile:
         net = network.load_network(args.net)
         profile = codec.parse_profile(args.profile, len(net.conv_layer_shapes()))
-        lines = _inspect_lines(net, profile, "xnor-abs-mean", "")
+        lines = _inspect_lines(net, profile, quantize.DEFAULT_POLICY, "")
     else:
         raise _UsageError("inspect: give a model file, or both --net and --profile")
     print("\n".join(lines))
@@ -311,10 +309,9 @@ def _cmd_index(args) -> int:
             if name in merged:
                 raise ValueError(f"duplicate id {name!r} while merging {path}")
             merged[name] = desc
-    ordered = {name: merged[name] for name in sorted(merged)}
-    retrieval.build_index(ordered)  # validates uniform precision and length
-    descriptor.save_descriptors(args.out, ordered)
-    _say(f"wrote {args.out}: {len(ordered)} descriptors")
+    retrieval.build_index(merged)  # refuses what search cannot score
+    descriptor.save_descriptors(args.out, merged)
+    _say(f"wrote {args.out}: {len(merged)} descriptors")
     return EXIT_OK
 
 

@@ -10,8 +10,10 @@ Byte layout (all integers little-endian unless noted)::
         bias section:   out fields of 12 bits, MSB-first, zero-padded to a byte
     trailer: u32 length | metadata block (canonical JSON)
 
-The stream is parsed through binfile.Reader and follows its error
-contract (truncation, trailing bytes, bad magic).
+The stream is read through binfile.Reader and written through binfile.pack
+under their contracts: bad magic, truncation and trailing bytes are refused,
+and a stride, padding or channel count too large for its field raises
+EncodeError before save_model writes anything.
 
 Masks are two's complement within their m bits, except m = 1 where the
 single bit encodes +1 (1) or -1 (0). The metadata block carries the
@@ -28,15 +30,14 @@ from __future__ import annotations
 
 import base64
 import json
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .binfile import (CodecError, CorruptionError, FormatError,  # noqa: F401 (re-exported)
-                      Reader, TruncationError)
+from .binfile import (CodecError, CorruptionError, EncodeError,  # noqa: F401 (re-exported)
+                      FormatError, Reader, TruncationError, pack)
 from .network import (FloatModel, NetworkDefinition, check_model_matches, dense_shapes,
                       model_checksum, parse_network)
 from .ops import KERNEL_WEIGHTS
@@ -48,13 +49,10 @@ _KIND = "a compressed-model container"
 VERSION = 1
 KERNEL_BITS_FLOAT = 32 * KERNEL_WEIGHTS  # 288 bits per float32 kernel
 BIAS_BITS = 12
+SHIFT_SCOPES = ("layer", "global")
 
 
 class UnsupportedVersionError(CodecError):
-    pass
-
-
-class EncodeError(CodecError):
     pass
 
 
@@ -191,8 +189,8 @@ def quantize_conv_layers(net: NetworkDefinition, conv, profile, policy: str = DE
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    if shift_scope not in ("layer", "global"):
-        raise ValueError(f"shift_scope must be 'layer' or 'global', got {shift_scope!r}")
+    if shift_scope not in SHIFT_SCOPES:
+        raise ValueError(f"shift_scope must be one of {SHIFT_SCOPES}, got {shift_scope!r}")
     shapes = net.conv_layer_shapes()
     if len(profile) != len(shapes):
         raise ValueError(f"profile covers {len(profile)} layers, network has {len(shapes)}")
@@ -271,7 +269,7 @@ def encode(model: CompressedModel) -> bytes:
             f"model has {len(model.layers)} quantized layers, network has {len(shapes)}")
     blob = bytearray()
     blob += MAGIC
-    blob += struct.pack("<BH", VERSION, len(model.layers))
+    blob += pack("<BH", "header (version, layer count)", VERSION, len(model.layers))
     for i, (layer, shape) in enumerate(zip(model.layers, shapes)):
         if layer.shape != shape:
             raise EncodeError(f"layer {i}: geometry {layer.shape} != network's {shape}")
@@ -279,11 +277,9 @@ def encode(model: CompressedModel) -> bytes:
             layer.validate()
         except ValueError as err:
             raise EncodeError(f"layer {i}: {err}") from err
-        out, cin = shape.out_channels, shape.in_channels
-        if out > 0xFFFF or cin > 0xFFFF:
-            raise EncodeError(f"layer {i}: channel count exceeds u16")
-        blob += struct.pack("<HHBBBb", out, cin, shape.stride, shape.padding,
-                            layer.mask_bits, layer.shift)
+        blob += pack("<HHBBBb", f"layer {i} header (out, in, stride, padding, m, e)",
+                     shape.out_channels, shape.in_channels, shape.stride, shape.padding,
+                     layer.mask_bits, layer.shift)
         blob += np.ascontiguousarray(layer.scalars, np.uint8).tobytes()
         if layer.mask_bits == 1:
             blob += _pack_fields((layer.masks.astype(np.int64) + 1) // 2, 1)
@@ -291,7 +287,7 @@ def encode(model: CompressedModel) -> bytes:
             blob += _pack_fields(layer.masks, layer.mask_bits)
         blob += _pack_fields(layer.biases, BIAS_BITS)
     meta = _metadata_bytes(model.network, model.dense, model.policy, model.source_checksum)
-    blob += struct.pack("<I", len(meta))
+    blob += pack("<I", "metadata length", len(meta))
     blob += meta
     return bytes(blob)
 
@@ -376,8 +372,7 @@ def _decode(rd: Reader) -> CompressedModel:
 
 
 def save_model(path, model: CompressedModel) -> None:
-    with open(path, "wb") as fh:
-        fh.write(encode(model))
+    Path(path).write_bytes(encode(model))
 
 
 def load_model(path) -> CompressedModel:

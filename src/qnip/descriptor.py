@@ -31,8 +31,8 @@ Descriptor files: magic "QDS1", u16 element count, u32 record count, then
 per record a u16-length-prefixed id, a precision tag byte (0/1/2), the
 payload (float32 LE / one byte per entry / bit-packed MSB-first) and one
 float32 of metadata (the byte scale or bit threshold; 0 for real).
-load_descriptors parses them through binfile.Reader and follows its error
-contract.
+load_descriptors and save_descriptors follow the read and write contracts
+of binfile.
 """
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import engine, ops
-from .binfile import CorruptionError, Reader
+from .binfile import CorruptionError, EncodeError, Reader, pack
 from .network import NetworkDefinition
 from .quantize import round_half_away
 
@@ -251,27 +251,29 @@ def convert_descriptor(desc: Descriptor, precision: str) -> Descriptor:
 # ---------------------------------------------------------------------------
 # descriptor files
 
+def descriptor_set_shape(descriptors: dict[str, Descriptor]) -> tuple[str, int]:
+    """The one precision and one length of a non-empty descriptor set."""
+    shapes = {(d.precision, d.dim) for d in descriptors.values()}
+    if len(shapes) != 1:
+        raise ValueError(f"a descriptor set needs one precision and one length, "
+                         f"got {sorted(shapes) or 'no descriptors'}")
+    return shapes.pop()
+
+
 def save_descriptors(path, descriptors: dict[str, Descriptor]) -> None:
-    if not descriptors:
-        raise ValueError("nothing to save")
-    precisions = {d.precision for d in descriptors.values()}
-    if len(precisions) != 1:
-        raise ValueError(f"mixed precisions in one file: {sorted(precisions)}")
-    dims = {d.dim for d in descriptors.values()}
-    if len(dims) != 1:
-        raise ValueError(f"mixed descriptor lengths in one file: {sorted(dims)}")
-    (dim,) = dims
+    precision, dim = descriptor_set_shape(descriptors)
+    tag = bytes([_TAGS[precision]])
     blob = bytearray()
     blob += DESC_MAGIC
-    blob += struct.pack("<HI", dim, len(descriptors))
+    blob += pack("<HI", "header (dimension, record count)", dim, len(descriptors))
     # canonical id order makes the file a pure function of its contents
     for name, desc in sorted(descriptors.items()):
         encoded = name.encode()
         if not 0 < len(encoded) <= 0xFFFF:
-            raise ValueError(f"bad descriptor id {name!r}")
+            raise EncodeError(f"id length {len(encoded)} is outside 1..65535: {name[:40]!r}")
         blob += struct.pack("<H", len(encoded))
         blob += encoded
-        blob += struct.pack("<B", _TAGS[desc.precision])
+        blob += tag
         if desc.precision == "real":
             blob += np.asarray(desc.values, np.float32).tobytes()
             meta = 0.0
@@ -282,8 +284,7 @@ def save_descriptors(path, descriptors: dict[str, Descriptor]) -> None:
             blob += np.packbits(np.asarray(desc.values, np.uint8)).tobytes()
             meta = desc.threshold or 0.0
         blob += struct.pack("<f", meta)
-    with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+    Path(path).write_bytes(blob)
 
 
 def load_descriptors(path) -> dict[str, Descriptor]:

@@ -18,20 +18,19 @@ Full-precision weights travel in a flat float64 container (magic "QFW1")
 rather than .npz — zip archives embed timestamps, and re-running a
 pipeline must produce byte-identical files. Layout: u16 conv count, u16
 dense count, then per array (w, b of each layer in order) a u8 rank, u32
-dims and the float64 LE values. load_float_model parses it through
-binfile.Reader and follows its error contract.
+dims and the float64 LE values. load_float_model and save_float_model
+follow the read and write contracts of binfile.
 """
 from __future__ import annotations
 
 import hashlib
 import math
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .binfile import Reader
+from .binfile import Reader, pack
 from .ops import ConvLayerShape
 
 __all__ = [
@@ -302,14 +301,12 @@ def check_model_matches(net: NetworkDefinition, model: FloatModel) -> None:
 def save_float_model(path, model: FloatModel) -> None:
     blob = bytearray()
     blob += FLOAT_MAGIC
-    blob += struct.pack("<HH", len(model.conv), len(model.dense))
-    for arr in model.arrays():
+    blob += pack("<HH", "header (conv count, dense count)", len(model.conv), len(model.dense))
+    for k, arr in enumerate(model.arrays()):
         arr = np.asarray(arr, dtype=np.float64)
-        blob += struct.pack("<B", arr.ndim)
-        blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
+        blob += pack(f"<B{arr.ndim}I", f"array {k} rank and shape", arr.ndim, *arr.shape)
         blob += arr.tobytes()
-    with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+    Path(path).write_bytes(blob)
 
 
 def load_float_model(path) -> FloatModel:

@@ -25,21 +25,20 @@ the query itself never appears in its own ranking.
 File fixtures:
   * image rasters  — magic "IMG1", u16 channels/height/width (LE), each
     at least 1, then row-major uint8 samples; loaded as floats in [0, 1]
-    by read_image through binfile.Reader, under its error contract.
+    by read_image, written by write_image, under binfile's contracts.
   * ground truth   — one line per query: "query_id: id1 id2 ...".
   * result lists   — CSV with header "query_id,rank,id,score".
 """
 from __future__ import annotations
 
-import struct
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .binfile import CorruptionError, Reader
-from .descriptor import Descriptor
+from .binfile import CorruptionError, EncodeError, Reader, pack
+from .descriptor import Descriptor, descriptor_set_shape
 
 IMAGE_MAGIC = b"IMG1"
 
@@ -86,14 +85,7 @@ def _norms(rows: np.ndarray) -> np.ndarray:
 
 
 def build_index(descriptors: dict[str, Descriptor]) -> RetrievalIndex:
-    if not descriptors:
-        raise ValueError("empty descriptor set")
-    precisions = {d.precision for d in descriptors.values()}
-    if len(precisions) != 1:
-        raise ValueError(f"an index holds one precision class, got {sorted(precisions)}")
-    dims = {d.dim for d in descriptors.values()}
-    if len(dims) != 1:
-        raise ValueError(f"descriptor lengths disagree: {sorted(dims)}")
+    descriptor_set_shape(descriptors)
     names = sorted(descriptors)
     rows = _pack(names, [descriptors[n] for n in names])
     return RetrievalIndex(dict(descriptors), np.array(names, dtype=object), rows,
@@ -181,10 +173,10 @@ def write_image(path, image: np.ndarray) -> None:
     if image.ndim != 3:
         raise ValueError(f"image must be C,H,W, got shape {image.shape}")
     if not all(0 < n <= 0xFFFF for n in image.shape):
-        raise ValueError(f"image dimensions {image.shape} must each be 1..65535")
+        raise EncodeError(f"image dimensions {image.shape} must each be 1..65535")
     samples = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(IMAGE_MAGIC + struct.pack("<HHH", *image.shape) + samples.tobytes())
+    header = pack("<HHH", "header (channels, height, width)", *image.shape)
+    Path(path).write_bytes(IMAGE_MAGIC + header + samples.tobytes())
 
 
 def read_image(path) -> np.ndarray:

@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import engine, ops
-from .codec import CompressedModel, build_compressed_model, quantize_conv_layers
+from .codec import SHIFT_SCOPES, CompressedModel, build_compressed_model, quantize_conv_layers
 from .network import (ConvSpec, DenseSpec, FlattenSpec, FloatModel,
                       NetworkDefinition, PoolSpec, check_model_matches,
                       init_float_model)
@@ -46,15 +46,15 @@ class TrainConfig:
     policy: str = DEFAULT_POLICY
     profile: Sequence[int | None] | None = None  # per conv layer; None entry = float
     refresh: str = "epoch"                       # or "step"
-    shift_scope: str = "layer"                   # or "global"
+    shift_scope: str = "layer"                   # one of SHIFT_SCOPES
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
         if self.refresh not in ("epoch", "step"):
             raise ValueError(f"refresh must be 'epoch' or 'step', got {self.refresh!r}")
-        if self.shift_scope not in ("layer", "global"):
-            raise ValueError(f"shift_scope must be 'layer' or 'global', got {self.shift_scope!r}")
+        if self.shift_scope not in SHIFT_SCOPES:
+            raise ValueError(f"shift_scope must be one of {SHIFT_SCOPES}, got {self.shift_scope!r}")
 
 
 class EpochMetrics(NamedTuple):

@@ -1,22 +1,29 @@
-"""The shared binary reader and the error contract of all four formats.
+"""The shared binary reader and writer and the error contracts of all four formats.
 
-The sweep cuts each small file at every length and flips one bit in every
-byte: the loaders may accept a flipped file, but they may raise
+The read sweep cuts each small file at every length and flips one bit in
+every byte: the loaders may accept a flipped file, but they may raise
 nothing except ValueError (which includes CodecError), and every cut must
 be a TruncationError naming the byte where the cut field starts.
+
+The write sweep puts one value one past the range of each fixed-width
+header field: every save must raise an EncodeError naming the field and
+leave no file behind.
 """
 
+import dataclasses
 import struct
 
 import numpy as np
 import pytest
 
 import qnip
-from qnip.binfile import CodecError, CorruptionError, FormatError, Reader, TruncationError
+from qnip.binfile import (CodecError, CorruptionError, EncodeError, FormatError, Reader,
+                          TruncationError, pack)
 from qnip.cli import EXIT_DATA, dispatch
-from qnip.codec import build_compressed_model, decode, encode
+from qnip.codec import build_compressed_model, decode, encode, save_model
 from qnip.descriptor import Descriptor, convert_descriptor, load_descriptors, save_descriptors
-from qnip.network import init_float_model, load_float_model, parse_network, save_float_model
+from qnip.network import (FloatModel, init_float_model, load_float_model, parse_network,
+                          save_float_model)
 from qnip.retrieval import read_image, write_image
 
 NET_TEXT = "input 1 4 4\nconv 2 tap\nflatten\ndense 2\n"
@@ -129,3 +136,60 @@ def test_cli_exits_2_on_cut_and_flipped_files(tmp_path, capsys):
             assert not out.exists()
             err = capsys.readouterr().err
             assert str(path) in err or loader is decode, (name, k, err)
+
+
+def test_pack_error_contract():
+    assert pack("<HB", "header", 513, 7) == struct.pack("<HB", 513, 7)
+    with pytest.raises(EncodeError, match=r"^header \(a, b\) = \(65536, 7\) does not fit '<HB': "):
+        pack("<HB", "header (a, b)", 65536, 7)
+    assert qnip.EncodeError is qnip.codec.EncodeError is EncodeError
+    assert issubclass(EncodeError, CodecError)
+
+
+def _compressed(net_text, **layer_changes):
+    net = parse_network(net_text)
+    model = build_compressed_model(net, init_float_model(net, np.random.default_rng(0)),
+                                   [1] * len(net.conv_layer_shapes()))
+    model.layers = [dataclasses.replace(layer, **layer_changes) for layer in model.layers]
+    return model
+
+
+def _too_large():
+    """(field named in the error, save, value): one value one past the range of
+    each fixed-width header field. Unreachable and so left out: the QCM2
+    metadata length (u32), the QFW1 rank (u8; NumPy caps rank at 64) and the
+    QDS1 record count (u32)."""
+    many = _compressed("input 1 3 3\nconv 1 pad=1 tap\n")
+    many.network = parse_network("input 1 3 3\n" + "conv 1 pad=1\n" * 65536)
+    many.layers *= 65536
+    pair = (np.zeros((1, 1, 3, 3)), np.zeros(1))
+    huge = np.broadcast_to(0.0, (2 ** 32,))  # a view: no memory behind it
+    return [
+        ("header (version, layer count)", save_model, many),
+        ("layer 0 header", save_model, _compressed("input 1 3 3\nconv 65536\n")),
+        ("layer 0 header", save_model, _compressed("input 65536 3 3\nconv 1\n")),
+        ("layer 0 header", save_model, _compressed("input 1 8 8\nconv 1 stride=256\n")),
+        ("layer 0 header", save_model, _compressed("input 1 8 8\nconv 1 pad=256\n")),
+        ("mask_bits", save_model, _compressed("input 1 3 3\nconv 1\n", mask_bits=256)),
+        ("shift 128", save_model, _compressed("input 1 3 3\nconv 1\n", shift=128)),
+        ("header (conv count, dense count)", save_float_model, FloatModel(conv=[pair] * 65536)),
+        ("header (conv count, dense count)", save_float_model, FloatModel(dense=[pair] * 65536)),
+        ("array 0 rank and shape", save_float_model, FloatModel(conv=[(huge, np.zeros(1))])),
+        ("header (dimension, record count)", save_descriptors,
+         {"a": Descriptor("real", np.zeros(65536))}),
+        ("id length 0", save_descriptors, {"": Descriptor("real", np.zeros(2))}),
+        ("id length 65536", save_descriptors, {"a" * 65536: Descriptor("real", np.zeros(2))}),
+        ("image dimensions", write_image, np.zeros((65536, 1, 1))),
+        ("image dimensions", write_image, np.zeros((1, 65536, 1))),
+        ("image dimensions", write_image, np.zeros((1, 1, 65536))),
+    ]
+
+
+def test_writer_sweep_raises_encode_errors_and_leaves_no_file(tmp_path):
+    path = tmp_path / "out.bin"
+    for field, save, value in _too_large():
+        with pytest.raises(EncodeError) as err:
+            save(path, value)
+        assert isinstance(err.value, CodecError) and isinstance(err.value, ValueError)
+        assert field in str(err.value), (field, str(err.value))
+        assert not path.exists(), field

@@ -14,9 +14,9 @@ from qnip.codec import load_model
 from qnip.datasets import make_brightness_dataset, make_retrieval_corpus, write_corpus, write_labeled_dataset
 from qnip.descriptor import load_descriptors
 from qnip.engine import calibrate_activation_exponents
-from qnip.network import load_float_model, load_network, save_float_model
+from qnip.network import init_float_model, load_float_model, load_network, save_float_model
 from qnip.ops import rotate90
-from qnip.retrieval import read_image, write_ground_truth
+from qnip.retrieval import read_image, write_ground_truth, write_image
 
 NET_TEXT = """\
 input 3 16 16
@@ -374,3 +374,29 @@ def test_zero_sized_raster_is_a_data_error(ws, capsys):
                      "--images", str(corpus), "--out", str(out)]) == EXIT_DATA
     assert not out.exists()
     assert capsys.readouterr().err.count("empty 3x0x16 raster") == 2
+
+
+def test_values_too_large_for_a_header_field_exit_2_and_write_nothing(tmp_path, capsys):
+    # used to die with a struct.error traceback, and quantize left an empty container
+    rng = np.random.default_rng(0)
+    padded = tmp_path / "padded.cfg"
+    padded.write_text("input 1 8 8\nconv 2 pad=256 tap\n")
+    save_float_model(tmp_path / "padded.qfw", init_float_model(load_network(padded), rng))
+    out = tmp_path / "m.qcm"
+    assert dispatch(["quantize", "--net", str(padded), "--weights", str(tmp_path / "padded.qfw"),
+                     "--profile", "1", "--out", str(out)]) == EXIT_DATA
+    assert not out.exists()
+    assert "layer 0 header (out, in, stride, padding, m, e)" in capsys.readouterr().err
+
+    wide = tmp_path / "wide.cfg"
+    wide.write_text("input 1 3 3\nconv 65536 tap\n")
+    save_float_model(tmp_path / "wide.qfw", init_float_model(load_network(wide), rng))
+    images = tmp_path / "images"
+    images.mkdir()
+    for name in ("1000", "1001"):
+        write_image(images / f"{name}.img", rng.random((1, 3, 3)))
+    out = tmp_path / "d.qds"
+    assert dispatch(["extract", "--net", str(wide), "--weights", str(tmp_path / "wide.qfw"),
+                     "--images", str(images), "--levels", "1", "--out", str(out)]) == EXIT_DATA
+    assert not out.exists()
+    assert "header (dimension, record count) = (65536, 2)" in capsys.readouterr().err
