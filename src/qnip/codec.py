@@ -16,11 +16,13 @@ and a stride, padding or channel count too large for its field raises
 EncodeError before save_model writes anything.
 
 Masks are two's complement within their m bits, except m = 1 where the
-single bit encodes +1 (1) or -1 (0). The metadata block carries the
-architecture text, quantization policy, a checksum of the source float
-weights, and any dense classifier head as base64 float32 arrays — dense
-layers are outside the 3x3-conv compression scheme and ride along
-uncompressed so a checkpoint stays self-contained.
+single bit encodes +1 (1) or -1 (0). A section packs as one (count, m) uint8
+bit array through np.packbits and unpacks by shift-or over its bit columns
+into int16. The metadata block carries the architecture text, quantization
+policy, a checksum of the source float weights, and any dense classifier
+head as base64 float32 arrays — dense layers are outside the 3x3-conv
+compression scheme and ride along uncompressed so a checkpoint stays
+self-contained.
 
 Compression arithmetic: a 3x3 kernel of z = 9 float32 weights (288 bits)
 becomes z m-bit mask values plus one s-bit scalar, so the per-kernel ratio
@@ -206,9 +208,8 @@ def build_compressed_model(net: NetworkDefinition, model: FloatModel, profile,
                            shift_scope: str = "layer") -> CompressedModel:
     """Container of quantize_conv_layers' layers; no profile entry may be None."""
     check_model_matches(net, model)
-    if any(m is None for m in profile):
-        raise ValueError("float-layer sentinel not allowed here; profile must be all-integer")
-    layers = quantize_conv_layers(net, model.conv, profile, policy, shift_scope)
+    layers = quantize_conv_layers(net, model.conv, _checked_profile(net, profile), policy,
+                                  shift_scope)
     dense = [(np.asarray(w, np.float32), np.asarray(b, np.float32)) for w, b in model.dense]
     return CompressedModel(net, layers, dense, policy, model_checksum(model))
 
@@ -224,22 +225,20 @@ def dequantized_float_model(model: CompressedModel) -> FloatModel:
 # bit packing
 
 def _pack_fields(values: np.ndarray, width: int) -> bytes:
-    vals = np.asarray(values, dtype=np.int64).ravel()
-    unsigned = vals & ((1 << width) - 1)
-    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
-    bits = ((unsigned[:, None] >> shifts) & 1).astype(np.uint8)
-    return np.packbits(bits.ravel()).tobytes()
+    vals = np.asarray(values, np.int16).ravel()
+    bits = np.empty((vals.size, width), np.uint8)
+    for j in range(width):
+        bits[:, j] = (vals >> (width - 1 - j)) & 1
+    return np.packbits(bits).tobytes()
 
 
 def _unpack_fields(packed: np.ndarray, width: int, count: int) -> np.ndarray:
-    bits = np.unpackbits(packed, count=count * width)
-    place = 1 << np.arange(width - 1, -1, -1, dtype=np.int64)
-    return bits.reshape(count, width).astype(np.int64) @ place
-
-
-def _sign_extend(unsigned: np.ndarray, width: int) -> np.ndarray:
-    sign_bit = 1 << (width - 1)
-    return unsigned - ((unsigned & sign_bit) << 1)
+    bits = np.unpackbits(packed, count=count * width).reshape(count, width)
+    fields = np.negative(bits[:, 0], dtype=np.int16)  # the sign bit weighs -2**(width-1)
+    for j in range(1, width):
+        fields <<= 1
+        fields |= bits[:, j]
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +281,7 @@ def encode(model: CompressedModel) -> bytes:
                      layer.mask_bits, layer.shift)
         blob += np.ascontiguousarray(layer.scalars, np.uint8).tobytes()
         if layer.mask_bits == 1:
-            blob += _pack_fields((layer.masks.astype(np.int64) + 1) // 2, 1)
+            blob += np.packbits(layer.masks.ravel() > 0).tobytes()
         else:
             blob += _pack_fields(layer.masks, layer.mask_bits)
         blob += _pack_fields(layer.biases, BIAS_BITS)
@@ -313,19 +312,16 @@ def _decode(rd: Reader) -> CompressedModel:
         pairs = out * cin
         scalars = rd.array(np.uint8, pairs, f"layer {i} scalars")
         mask_bytes = -(-pairs * KERNEL_WEIGHTS * m // 8)
-        fields = _unpack_fields(rd.array(np.uint8, mask_bytes, f"layer {i} masks"),
-                                m, pairs * KERNEL_WEIGHTS)
+        packed = rd.array(np.uint8, mask_bytes, f"layer {i} masks")
         if m == 1:
-            masks = (2 * fields - 1).astype(np.int8)
+            masks = np.unpackbits(packed, count=pairs * KERNEL_WEIGHTS).view(np.int8) * 2 - 1
         else:
-            masks = _sign_extend(fields, m)
+            masks = _unpack_fields(packed, m, pairs * KERNEL_WEIGHTS)
             if np.abs(masks).max(initial=0) > mask_levels(m):
                 raise CorruptionError(f"layer {i}: mask value -{2 ** (m - 1)} is not encodable")
             masks = masks.astype(np.int8)
         bias_bytes = -(-out * BIAS_BITS // 8)
-        biases = _sign_extend(
-            _unpack_fields(rd.array(np.uint8, bias_bytes, f"layer {i} biases"), BIAS_BITS, out),
-            BIAS_BITS).astype(np.int16)
+        biases = _unpack_fields(rd.array(np.uint8, bias_bytes, f"layer {i} biases"), BIAS_BITS, out)
         raw_layers.append(((out, cin, stride, padding), m, e, scalars, masks, biases))
 
     (meta_len,) = rd.unpack("<I", "metadata length")

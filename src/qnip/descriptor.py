@@ -283,7 +283,10 @@ def save_descriptors(path, descriptors: dict[str, Descriptor]) -> None:
         else:
             blob += np.packbits(np.asarray(desc.values, np.uint8)).tobytes()
             meta = desc.threshold or 0.0
-        blob += struct.pack("<f", meta)
+        try:
+            blob += struct.pack("<f", meta)
+        except OverflowError as err:
+            raise EncodeError(f"record {name[:40]!r} metadata {meta!r} overflows float32") from err
     Path(path).write_bytes(blob)
 
 

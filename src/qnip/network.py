@@ -331,5 +331,5 @@ def model_checksum(model: FloatModel) -> str:
     """sha256 over the flattened float64 parameters, for provenance fields."""
     digest = hashlib.sha256()
     for arr in model.arrays():
-        digest.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+        digest.update(np.ascontiguousarray(arr, dtype=np.float64))
     return digest.hexdigest()

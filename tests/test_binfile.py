@@ -156,7 +156,8 @@ def _compressed(net_text, **layer_changes):
 
 def _too_large():
     """(field named in the error, save, value): one value one past the range of
-    each fixed-width header field. Unreachable and so left out: the QCM2
+    each fixed-width header field, and a QDS1 byte scale and bit threshold
+    beyond the float32 range. Unreachable and so left out: the QCM2
     metadata length (u32), the QFW1 rank (u8; NumPy caps rank at 64) and the
     QDS1 record count (u32)."""
     many = _compressed("input 1 3 3\nconv 1 pad=1 tap\n")
@@ -179,6 +180,10 @@ def _too_large():
          {"a": Descriptor("real", np.zeros(65536))}),
         ("id length 0", save_descriptors, {"": Descriptor("real", np.zeros(2))}),
         ("id length 65536", save_descriptors, {"a" * 65536: Descriptor("real", np.zeros(2))}),
+        ("record 'a' metadata", save_descriptors,
+         {"a": Descriptor("byte", np.zeros(4, np.uint8), scale=1e39)}),
+        ("record 'b' metadata", save_descriptors,
+         {"b": Descriptor("bit", np.zeros(4, np.uint8), threshold=-1e39)}),
         ("image dimensions", write_image, np.zeros((65536, 1, 1))),
         ("image dimensions", write_image, np.zeros((1, 65536, 1))),
         ("image dimensions", write_image, np.zeros((1, 1, 65536))),

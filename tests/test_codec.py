@@ -1,5 +1,6 @@
 """Compressed-container codec: ratios, sizes, byte layout, round trips, errors."""
 
+import hashlib
 import json
 import re
 import struct
@@ -15,6 +16,8 @@ from qnip.codec import (
     FormatError,
     TruncationError,
     UnsupportedVersionError,
+    _pack_fields,
+    _unpack_fields,
     build_compressed_model,
     decode,
     dequantized_float_model,
@@ -123,6 +126,74 @@ def test_model_sizes_matches_encode_length_exactly():
         sizes = model_sizes(net, profile, source_checksum=compressed.source_checksum)
         assert sizes.compressed_bytes == len(data)
         assert sizes.float_bytes == 4 * parameter_count(net)
+
+
+# sha256 of encode(...): the container bytes are a stored contract, so any
+# field packer must reproduce them exactly
+VGG16_GOLDEN = {
+    "xnor-abs-mean": "4cbe5002e5604af3f8b7a73fabcd7898b2cdd92ccae603db46a6e962653e454e",
+    "literal-mean": "28f0ccf79f551d7cd15f749d5dab4160e604a59270775f2f1ddcda32878db24b",
+}
+SMALL_GOLDEN = {
+    1: "1612eacb060a0912e3c37dc69071988ba9ba566611153004f44d53377615345b",
+    2: "f592cbdf63c85a372d1042dd0558baf82058b6008214e6b580c3dc53caac044c",
+    3: "91232ac9be2d2c432c8e6c4f27a9f3ad6a1a2b0c354a5b9febb0b019a845e64d",
+    4: "099b5e55c5917ce6abc98be5260d23dca8d297c68fb5b80a100440f783021f55",
+    5: "59829917318c0585befb609fc1920eeb9195108cfb207230f9031bb0f4106472",
+}
+
+
+def test_encode_golden_bytes_vgg16():
+    net = load_network(qnip.config_path("vgg16"))
+    model = init_float_model(net, np.random.default_rng(1905))
+    for policy, digest in VGG16_GOLDEN.items():
+        compressed = build_compressed_model(net, model, parse_profile("3x7,1x6"), policy)
+        assert hashlib.sha256(encode(compressed)).hexdigest() == digest, policy
+
+
+def test_encode_golden_bytes_each_mask_width():
+    net = parse_network("input 3 8 8\nconv 5 pad=1\nconv 7 pad=1 tap\n")
+    rng = np.random.default_rng(1)
+    for m, digest in SMALL_GOLDEN.items():
+        model = init_float_model(net, rng)
+        model.conv = [(w, rng.normal(0, 0.5, b.shape)) for w, b in model.conv]
+        compressed = build_compressed_model(net, model, [m, m])
+        assert min(layer.biases.min() for layer in compressed.layers) < 0
+        assert hashlib.sha256(encode(compressed)).hexdigest() == digest, m
+
+
+def _oracle_fields(values, width):
+    bits = "".join(format(v & ((1 << width) - 1), f"0{width}b") for v in values)
+    bits += "0" * (-len(bits) % 8)
+    return bytes(int(bits[k:k + 8], 2) for k in range(0, len(bits), 8))
+
+
+def test_field_packing_matches_bit_string_oracle():
+    rng = np.random.default_rng(30)
+    for width in (1, 2, 3, 4, 5, 12):
+        dtype = np.int16 if width == 12 else np.int8  # the biases' and masks' dtypes
+        for count in range(1, 18):
+            values = rng.integers(-(1 << (width - 1)), 1 << (width - 1), count).astype(dtype)
+            packed = _pack_fields(values, width)
+            assert packed == _oracle_fields(values.tolist(), width), (width, count)
+            pad = 8 * len(packed) - width * count
+            assert packed[-1] & ((1 << pad) - 1) == 0, (width, count)
+            unpacked = _unpack_fields(np.frombuffer(packed, np.uint8), width, count)
+            assert np.array_equal(unpacked, values), (width, count)
+
+
+def test_one_bit_round_trip_all_plus_and_all_minus():
+    net = parse_network("input 2 6 6\nconv 3 tap\n")  # 54 fields: the last byte is padded
+    compressed = build_compressed_model(net, init_float_model(net, np.random.default_rng(31)),
+                                        [1])
+    for sign, mask_bytes in ((1, b"\xff" * 6 + b"\xfc"), (-1, b"\x00" * 7)):
+        layer = compressed.layers[0]
+        layer.masks = np.full_like(layer.masks, sign)
+        data = encode(compressed)
+        assert data[7 + 8 + 6:7 + 8 + 6 + 7] == mask_bytes
+        again = decode(data)
+        assert again == compressed
+        assert again.layers[0].masks.dtype == np.int8
 
 
 def test_round_trip_identity():
