@@ -303,13 +303,15 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_index(args) -> int:
-    merged: dict[str, descriptor.Descriptor] = {}
+    sets = []
     for path in args.desc:
-        for name, desc in descriptor.load_descriptors(path).items():
-            if name in merged:
-                raise ValueError(f"duplicate id {name!r} while merging {path}")
-            merged[name] = desc
-    retrieval.build_index(merged)  # refuses what search cannot score
+        part = descriptor.load_descriptors(path)
+        if sets:
+            repeated = np.intersect1d(np.concatenate([s.ids for s in sets]), part.ids)
+            if repeated.size:
+                raise ValueError(f"duplicate id {repeated[0]!r} while merging {path}")
+        sets.append(part)
+    merged = descriptor.DescriptorSet.concatenate(sets)
     descriptor.save_descriptors(args.out, merged)
     _say(f"wrote {args.out}: {len(merged)} descriptors")
     return EXIT_OK

@@ -27,19 +27,26 @@ Descriptors exist in three precisions: real (float, unit L2 norm), byte
 (8-bit against a stored scale) and bit (1 bit per channel against the
 mean threshold).
 
+A DescriptorSet holds many descriptors of one precision and one length
+as arrays in sorted-id order: float64 rows for real, the uint8 codes for
+byte and the bits packed 8 to a byte for bit, plus each row's scale or
+threshold. It is a read-only mapping from id to Descriptor, and it is
+what load_descriptors returns and retrieval indexes.
+
 Descriptor files: magic "QDS1", u16 element count, u32 record count, then
-per record a u16-length-prefixed id, a precision tag byte (0/1/2), the
-payload (float32 LE / one byte per entry / bit-packed MSB-first) and one
-float32 of metadata (the byte scale or bit threshold; 0 for real).
-load_descriptors and save_descriptors follow the read and write contracts
-of binfile.
+per record a u16-length-prefixed id, a precision tag byte (0/1/2; one tag
+per file), the payload (float32 LE / one byte per entry / bit-packed
+MSB-first) and one float32 of metadata (the byte scale or bit threshold;
+0 for real). load_descriptors and save_descriptors follow the read and
+write contracts of binfile.
 """
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -249,71 +256,209 @@ def convert_descriptor(desc: Descriptor, precision: str) -> Descriptor:
 
 
 # ---------------------------------------------------------------------------
-# descriptor files
+# descriptor sets and files
 
-def descriptor_set_shape(descriptors: dict[str, Descriptor]) -> tuple[str, int]:
-    """The one precision and one length of a non-empty descriptor set."""
-    shapes = {(d.precision, d.dim) for d in descriptors.values()}
+def descriptor_set_shape(items: Iterable) -> tuple[str, int]:
+    """The one precision and one length of a non-empty collection of
+    descriptors or descriptor sets."""
+    shapes = {(d.precision, d.dim) for d in items}
     if len(shapes) != 1:
         raise ValueError(f"a descriptor set needs one precision and one length, "
                          f"got {sorted(shapes) or 'no descriptors'}")
     return shapes.pop()
 
 
-def save_descriptors(path, descriptors: dict[str, Descriptor]) -> None:
-    precision, dim = descriptor_set_shape(descriptors)
-    tag = bytes([_TAGS[precision]])
-    blob = bytearray()
-    blob += DESC_MAGIC
-    blob += pack("<HI", "header (dimension, record count)", dim, len(descriptors))
-    # canonical id order makes the file a pure function of its contents
-    for name, desc in sorted(descriptors.items()):
-        encoded = name.encode()
-        if not 0 < len(encoded) <= 0xFFFF:
-            raise EncodeError(f"id length {len(encoded)} is outside 1..65535: {name[:40]!r}")
-        blob += struct.pack("<H", len(encoded))
-        blob += encoded
-        blob += tag
-        if desc.precision == "real":
-            blob += np.asarray(desc.values, np.float32).tobytes()
-            meta = 0.0
-        elif desc.precision == "byte":
-            blob += np.asarray(desc.values, np.uint8).tobytes()
-            meta = desc.scale or 0.0
-        else:
-            blob += np.packbits(np.asarray(desc.values, np.uint8)).tobytes()
-            meta = desc.threshold or 0.0
-        try:
-            blob += struct.pack("<f", meta)
-        except OverflowError as err:
-            raise EncodeError(f"record {name[:40]!r} metadata {meta!r} overflows float32") from err
-    Path(path).write_bytes(blob)
+def _row_width(precision: str, dim: int) -> int:
+    """Entries of one row: dim values or codes, or ceil(dim / 8) bytes of bits."""
+    return -(-dim // 8) if precision == "bit" else dim
 
 
-def load_descriptors(path) -> dict[str, Descriptor]:
-    rd = Reader(Path(path).read_bytes(), DESC_MAGIC, "a descriptor file", path)
-    out: dict[str, Descriptor] = {}
-    dim, count = rd.unpack("<HI", "header")
-    for _ in range(count):
-        (id_len,) = rd.unpack("<H", "id length")
-        name = rd.take(id_len, "id").decode()
-        (tag,) = rd.take(1, "precision tag")
-        if tag not in _TAG_NAMES:
-            raise CorruptionError(f"{path}: unknown precision tag {tag}")
-        precision = _TAG_NAMES[tag]
+def _record_dtype(precision: str, dim: int) -> np.dtype:
+    """A stored record after its id and tag: the payload, then the metadata."""
+    stored = "<f4" if precision == "real" else "u1"
+    return np.dtype([("payload", stored, (_row_width(precision, dim),)), ("meta", "<f4")])
+
+
+class DescriptorSet(Mapping[str, Descriptor]):
+    """Descriptors of one precision and one length, held as arrays.
+
+    ids is an object array of the ids in sorted order, and row i of rows
+    and meta belongs to ids[i]. rows are float64 values for real, the
+    uint8 codes for byte, and for bit the flags packed MSB-first into
+    ceil(dim / 8) bytes with zero padding bits. meta is the byte scale or
+    bit threshold of each row (0 for real). The set is a read-only
+    mapping: set[id] builds a fresh Descriptor of that row.
+    """
+
+    def __init__(self, ids, precision: str, dim: int, rows: np.ndarray, meta: np.ndarray):
+        """Sort the rows by id and check them: ids unique, real values
+        finite, byte scales finite and >= 0. Raises ValueError. The
+        arrays are taken over and made read-only."""
+        if precision not in PRECISIONS:
+            raise ValueError(f"unknown precision {precision!r}")
+        ids = np.array(ids, dtype=object)
+        rows = np.asarray(rows, np.float64 if precision == "real" else np.uint8)
+        meta = np.asarray(meta, np.float64)
+        if rows.shape != (len(ids), _row_width(precision, dim)):
+            raise ValueError(f"{len(ids)} {precision} rows of length {dim} "
+                             f"cannot have shape {rows.shape}")
+        order = np.argsort(ids, kind="stable")
+        if not np.array_equal(order, np.arange(len(ids))):
+            ids, rows, meta = ids[order], rows[order], meta[order]
+        repeated = ids[1:] == ids[:-1]
+        if repeated.any():
+            raise ValueError(f"duplicate id {ids[int(np.argmax(repeated))]!r}")
         if precision == "real":
-            values = rd.array(np.float32, dim, "payload").astype(np.float64)
+            finite = np.isfinite(rows).all(axis=1)
+            if not finite.all():
+                raise ValueError(f"real descriptor {ids[int(np.argmin(finite))]!r} "
+                                 f"holds non-finite values")
+            meta = np.zeros(len(ids))
         elif precision == "byte":
-            values = rd.array(np.uint8, dim, "payload").copy()
-        else:
-            values = np.unpackbits(rd.array(np.uint8, -(-dim // 8), "payload"), count=dim)
-        (meta,) = rd.unpack("<f", "metadata")
-        if name in out:
-            raise CorruptionError(f"{path}: duplicate id {name!r}")
-        out[name] = Descriptor(
-            precision, values,
-            scale=float(meta) if precision == "byte" else None,
-            threshold=float(meta) if precision == "bit" else None,
-        )
+            bad = ~(np.isfinite(meta) & (meta >= 0.0))
+            if bad.any():
+                row = int(np.argmax(bad))
+                raise ValueError(f"byte descriptor {ids[row]!r} has scale {meta[row]}; "
+                                 f"expected a finite value >= 0")
+        for array in (ids, rows, meta):
+            array.flags.writeable = False
+        self.ids, self.precision, self.dim, self.rows, self.meta = ids, precision, dim, rows, meta
+
+    @classmethod
+    def stack(cls, descriptors: Mapping[str, Descriptor]) -> DescriptorSet:
+        """The set of a dict of descriptors (a set is returned as it is)."""
+        if isinstance(descriptors, DescriptorSet):
+            return descriptors
+        return cls(*_stack(descriptors))
+
+    @classmethod
+    def concatenate(cls, sets: Sequence[DescriptorSet]) -> DescriptorSet:
+        precision, dim = descriptor_set_shape(sets)
+        return cls(np.concatenate([s.ids for s in sets]), precision, dim,
+                   np.concatenate([s.rows for s in sets]),
+                   np.concatenate([s.meta for s in sets]))
+
+    def row(self, name) -> int | None:
+        """The row of name, or None when the set does not hold it."""
+        if isinstance(name, str):
+            row = int(np.searchsorted(self.ids, name))
+            if row < len(self.ids) and self.ids[row] == name:
+                return row
+        return None
+
+    def __getitem__(self, name: str) -> Descriptor:
+        row = self.row(name)
+        if row is None:
+            raise KeyError(name)
+        values, meta = self.rows[row], float(self.meta[row])
+        if self.precision == "bit":
+            return Descriptor("bit", np.unpackbits(values, count=self.dim), threshold=meta)
+        if self.precision == "byte":
+            return Descriptor("byte", values.copy(), scale=meta)
+        return Descriptor("real", values.copy())
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.ids.tolist())
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+def _stack(descriptors: Mapping[str, Descriptor]):
+    """DescriptorSet arguments of a dict of descriptors, in sorted-id
+    order and unchecked beyond their shared shape."""
+    precision, dim = descriptor_set_shape(descriptors.values())
+    names = sorted(descriptors)
+    descs = [descriptors[n] for n in names]
+    dtype = np.float64 if precision == "real" else np.uint8
+    rows = np.array([d.values for d in descs], dtype)
+    if precision == "bit":
+        rows = np.packbits(rows, axis=1)
+    meta = np.zeros(len(descs)) if precision == "real" else [
+        (d.scale if precision == "byte" else d.threshold) or 0.0 for d in descs]
+    return names, precision, dim, rows, meta
+
+
+def save_descriptors(path, descriptors: Mapping[str, Descriptor]) -> None:
+    """Write a DescriptorSet from its arrays, or a dict of descriptors as
+    it is (unchecked beyond the shape and the file's field ranges)."""
+    if isinstance(descriptors, DescriptorSet):
+        s = descriptors
+        ids, precision, dim, rows, meta = s.ids, s.precision, s.dim, s.rows, s.meta
+    else:
+        ids, precision, dim, rows, meta = _stack(descriptors)
+    header = DESC_MAGIC + pack("<HI", "header (dimension, record count)", dim, len(ids))
+    records = np.empty(len(ids), _record_dtype(precision, dim))
+    records["payload"] = rows
+    meta = np.where(np.asarray(meta) == 0.0, 0.0, meta)  # a -0.0 scale is stored as 0.0
+    with np.errstate(over="ignore"):
+        records["meta"] = meta
+    encoded = [name.encode() for name in ids]
+    lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
+    bad_id = (lengths < 1) | (lengths > 0xFFFF)
+    bad = bad_id | (np.isinf(records["meta"]) & np.isfinite(meta))
+    if bad.any():
+        row = int(np.argmax(bad))
+        name = ids[row]
+        if bad_id[row]:
+            raise EncodeError(f"id length {lengths[row]} is outside 1..65535: {name[:40]!r}")
+        raise EncodeError(f"record {name[:40]!r} metadata {float(meta[row])!r} "
+                          f"overflows float32")
+    tag = bytes([_TAGS[precision]])
+    heads = [struct.pack("<H", n) + e + tag for n, e in zip(lengths.tolist(), encoded)]
+    body, size = records.tobytes(), records.dtype.itemsize
+    chunks = [body[at:at + size] for at in range(0, len(body), size)]
+    # canonical id order makes the file a pure function of its contents
+    Path(path).write_bytes(header + b"".join(chain.from_iterable(zip(heads, chunks))))
+
+
+def _truncated(rd: Reader, pos: int, payload: int) -> None:
+    """Read the record at pos field by field, so that its first short
+    field raises TruncationError."""
+    rd.pos = pos
+    (id_len,) = rd.unpack("<H", "id length")
+    rd.take(id_len, "id").decode()
+    rd.take(1, "precision tag")
+    rd.take(payload, "payload")
+    rd.take(4, "metadata")
+
+
+def load_descriptors(path) -> DescriptorSet:
+    """Walk the records once for their ids and tags, then read every
+    payload and metadata field in one gather. The bit padding bits are
+    cleared; an out-of-order file loads sorted."""
+    rd = Reader(Path(path).read_bytes(), DESC_MAGIC, "a descriptor file", path)
+    dim, count = rd.unpack("<HI", "header")
+    data, pos, end = rd.data, rd.pos, len(rd.data)
+    names, records = [], []
+    first = record = None
+    for _ in range(count):
+        start, tag_at = pos, pos + 2 + int.from_bytes(data[pos:pos + 2], "little")
+        if tag_at >= end:
+            _truncated(rd, start, 0)
+        names.append(data[start + 2:tag_at].decode())
+        tag = data[tag_at]
+        if tag != first:
+            if tag not in _TAG_NAMES:
+                raise CorruptionError(f"{path}: unknown precision tag {tag}")
+            if first is not None:
+                raise CorruptionError(f"{path}: record {names[-1]!r} has precision tag "
+                                      f"{tag}, the first record {first}")
+            first, record = tag, _record_dtype(_TAG_NAMES[tag], dim)
+        pos = tag_at + 1 + record.itemsize
+        if pos > end:
+            _truncated(rd, start, record.itemsize - 4)
+        records.append(data[tag_at + 1:pos])
+    rd.pos = pos
     rd.finish()
-    return out
+    if not count:
+        raise CorruptionError(f"{path}: no descriptors")
+    precision = _TAG_NAMES[first]
+    stored = np.frombuffer(b"".join(records), record)
+    rows = stored["payload"].astype(np.float64 if precision == "real" else np.uint8)
+    if precision == "bit" and dim % 8:
+        rows[:, -1] &= 0xFF << (8 - dim % 8) & 0xFF
+    try:
+        return DescriptorSet(names, precision, dim, rows, stored["meta"])
+    except ValueError as err:
+        raise CorruptionError(f"{path}: {err}") from None

@@ -224,6 +224,10 @@ class QuantizedLayer:
             raise ValueError(f"masks shape {self.masks.shape} != ({out}, {cin}, 9)")
         if self.biases.shape != (out,):
             raise ValueError(f"biases shape {self.biases.shape} != ({out},)")
+        for name in ("scalars", "masks", "biases"):
+            dtype = getattr(self, name).dtype
+            if not np.issubdtype(dtype, np.integer):
+                raise ValueError(f"{name} must hold integers, got dtype {dtype}")
         if self.scalars.min(initial=0) < 0 or self.scalars.max(initial=0) > SCALAR_MAX:
             raise ValueError("scalar mantissas outside 0..255")
         if np.abs(self.masks).max(initial=0) > lmax:

@@ -1,12 +1,14 @@
 """Nearest-neighbour search over descriptors and retrieval scoring.
 
 Real and byte descriptors are ranked by cosine similarity, bit
-descriptors by Hamming distance. build_index packs the descriptors once
-into one row matrix in sorted-id order: float64 rows for real, the
-stored uint8 codes for byte (cosine ignores a positive per-row scale; a
-row with scale 0 dequantizes to zeros and is zeroed), and the 0/1 flags
-for bit, plus each row's L2 norm. search then scores every row in one
-vectorised pass and ranks them with one stable sort.
+descriptors by Hamming distance. build_index scores a DescriptorSet's
+rows as they are: float64 rows for real, the stored uint8 codes for byte
+(cosine ignores a positive per-row scale; a row with scale 0 dequantizes
+to zeros and gets norm 0), and the packed bits for bit, whose Hamming
+distance is a popcount of XOR. Its only new array is each real or byte
+row's L2 norm. search then scores every row in one vectorised pass,
+ranks them with one stable sort and returns a Ranking: a sequence of
+(id, score) pairs held as the ranked rows and their scores.
 
 Ties break toward the lexicographically smaller id so rankings are
 reproducible. Exact duplicate rows always get identical scores: the
@@ -32,92 +34,120 @@ File fixtures:
 from __future__ import annotations
 
 import warnings
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .binfile import CorruptionError, EncodeError, Reader, pack
-from .descriptor import Descriptor, descriptor_set_shape
+from .descriptor import Descriptor, DescriptorSet
 
 IMAGE_MAGIC = b"IMG1"
 
 
 @dataclass(eq=False)
 class RetrievalIndex:
-    entries: dict[str, Descriptor]
-    ids: np.ndarray = field(repr=False)    # object array of the ids, sorted
-    rows: np.ndarray = field(repr=False)   # (N, D) packed descriptors, row i is ids[i]
-    norms: np.ndarray = field(repr=False)  # (N,) float64 L2 norm of each row
+    entries: DescriptorSet
+    norms: np.ndarray | None = field(repr=False)  # (N,) float64 scoring norms; None for bit
 
     @property
     def precision(self) -> str:
-        first = next(iter(self.entries.values()))
-        return first.precision
+        return self.entries.precision
 
     def __len__(self) -> int:
         return len(self.entries)
 
 
-def _pack(names: list[str], descs: list[Descriptor]) -> np.ndarray:
-    """Stack the values of descriptors of one precision into scoring rows."""
-    precision = descs[0].precision
-    rows = np.stack([np.asarray(d.values) for d in descs])
-    if precision == "real":
-        rows = rows.astype(np.float64, copy=False)
-        finite = np.isfinite(rows).all(axis=1)
-        if not finite.all():
-            raise ValueError(f"real descriptor {names[int(np.argmin(finite))]!r} "
-                             f"holds non-finite values")
-    elif precision == "byte":
-        scales = np.array([d.scale or 0.0 for d in descs], np.float64)
-        bad = ~(np.isfinite(scales) & (scales >= 0.0))
-        if bad.any():
-            row = int(np.argmax(bad))
-            raise ValueError(f"byte descriptor {names[row]!r} has scale {scales[row]}; "
-                             f"expected a finite value >= 0")
-        rows[scales == 0.0] = 0
-    return rows
+class Ranking(Sequence):
+    """Ranked (id, score) pairs of one search, held as arrays: the index
+    row of each ranked entry, best first, and its score. Items are
+    (str, int) pairs for Hamming scores and (str, float) pairs for cosine;
+    a slice is a Ranking, and a Ranking equals any sequence of equal pairs."""
+
+    def __init__(self, entries: DescriptorSet, order: np.ndarray, scores: np.ndarray):
+        self.entries, self.order, self.scores = entries, order, scores
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Ranking(self.entries, self.order[i], self.scores[i])
+        return self.entries.ids[self.order[i]], self.scores[i].item()
+
+    def __iter__(self):
+        return zip(self.entries.ids[self.order].tolist(), self.scores.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"Ranking({list(self)!r})"
+
+    def average_precision(self, relevant) -> float:
+        """average_precision of this ranking's ids, from the ranks of the
+        relevant rows alone."""
+        relevant = set(relevant)
+        rows = [row for row in map(self.entries.row, relevant) if row is not None]
+        ranks = np.flatnonzero(np.isin(self.order, rows)) + 1
+        return _mean_precision(ranks.tolist(), len(relevant))
 
 
-def _norms(rows: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("ij,ij->i", rows, rows, dtype=np.float64))
+def _norms(entries: DescriptorSet) -> np.ndarray:
+    """L2 norm of each real or byte row. Cosine ignores a positive byte
+    scale; a byte row of scale 0 dequantizes to zeros, so its norm is 0."""
+    rows = entries.rows
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows, dtype=np.float64))
+    if entries.precision == "byte":
+        norms[entries.meta == 0.0] = 0.0
+    return norms
 
 
-def build_index(descriptors: dict[str, Descriptor]) -> RetrievalIndex:
-    descriptor_set_shape(descriptors)
-    names = sorted(descriptors)
-    rows = _pack(names, [descriptors[n] for n in names])
-    return RetrievalIndex(dict(descriptors), np.array(names, dtype=object), rows,
-                          _norms(rows))
+def build_index(descriptors: Mapping[str, Descriptor]) -> RetrievalIndex:
+    """Index a DescriptorSet as it is, or a dict of descriptors stacked once."""
+    entries = DescriptorSet.stack(descriptors)
+    return RetrievalIndex(entries, None if entries.precision == "bit" else _norms(entries))
 
 
 def search(index: RetrievalIndex, query: Descriptor, k: int | None = None,
-           exclude: str | None = None) -> list[tuple[str, float]]:
+           exclude: str | None = None) -> Ranking:
     """Ranked (id, score) pairs. Score is cosine similarity (higher is
     better) or, for bit descriptors, Hamming distance (lower is better)."""
-    if query.precision != index.precision:
+    entries = index.entries
+    if query.precision != entries.precision:
         raise ValueError(
-            f"query precision {query.precision!r} != index precision {index.precision!r}")
-    if query.dim != index.rows.shape[1]:
-        raise ValueError(f"query length {query.dim} != index length {index.rows.shape[1]}")
+            f"query precision {query.precision!r} != index precision {entries.precision!r}")
+    if query.dim != entries.dim:
+        raise ValueError(f"query length {query.dim} != index length {entries.dim}")
     if k is not None and k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    q = _pack(["query"], [query])
-    if index.precision == "bit":
-        scores = np.count_nonzero(index.rows != q, axis=1)
+    q = DescriptorSet.stack({"query": query})
+    if entries.precision == "bit":
+        scores = np.bitwise_count(entries.rows ^ q.rows[0]).sum(axis=1)
         order = np.argsort(scores, kind="stable")
     else:
-        dots = np.einsum("ij,j->i", index.rows, q[0], dtype=np.float64)
+        dots = np.einsum("ij,j->i", entries.rows, q.rows[0], dtype=np.float64)
         denom = index.norms * _norms(q)[0]
         scores = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0.0)
         order = np.argsort(-scores, kind="stable")
-    if exclude is not None:
-        row = int(np.searchsorted(index.ids, exclude))
-        if row < len(index.ids) and index.ids[row] == exclude:
-            order = order[order != row]
+    row = entries.row(exclude)
+    if row is not None:
+        order = order[order != row]
     order = order[:k]
-    return list(zip(index.ids[order].tolist(), scores[order].tolist()))
+    return Ranking(entries, order, scores[order])
+
+
+def _mean_precision(ranks, n_relevant: int) -> float:
+    """Mean of precision@rank over the increasing ranks of the hits."""
+    if not n_relevant:
+        raise ValueError("relevant set is empty")
+    total = 0.0
+    for hits, rank in enumerate(ranks, start=1):
+        total += hits / rank
+    return total / n_relevant
 
 
 def average_precision(ranked_ids, relevant) -> float:
@@ -127,15 +157,8 @@ def average_precision(ranked_ids, relevant) -> float:
     ranking count as misses.
     """
     relevant = set(relevant)
-    if not relevant:
-        raise ValueError("relevant set is empty")
-    hits = 0
-    total = 0.0
-    for rank, name in enumerate(ranked_ids, start=1):
-        if name in relevant:
-            hits += 1
-            total += hits / rank
-    return total / len(relevant)
+    return _mean_precision([rank for rank, name in enumerate(ranked_ids, start=1)
+                            if name in relevant], len(relevant))
 
 
 def mean_average_precision(index: RetrievalIndex, ground_truth: dict,
@@ -159,8 +182,7 @@ def evaluate(index: RetrievalIndex, ground_truth: dict,
         if qid not in index.entries:
             raise ValueError(f"query {qid!r} is not in the index")
         ranked = search(index, index.entries[qid], exclude=qid)
-        per_query[qid] = average_precision([name for name, _ in ranked],
-                                           ground_truth[qid])
+        per_query[qid] = ranked.average_precision(ground_truth[qid])
     return sum(per_query.values()) / len(per_query), per_query
 
 

@@ -302,6 +302,20 @@ def test_encode_validates_layers():
         encode(_hand_model(layer))
 
 
+def test_encode_refuses_non_integer_layer_arrays():
+    # float masks used to pass validate and be truncated: 2-bit masks of
+    # 0.9 * (+-1) encoded as all zeros
+    for field, value in [("masks", np.full((1, 1, 9), 0.9)),
+                         ("scalars", np.array([[200.0]])),
+                         ("biases", np.array([1.0]))]:
+        layer = _hand_layer([1, -1] * 4 + [1], mask_bits=2)
+        setattr(layer, field, value)
+        with pytest.raises(ValueError, match=f"{field} must hold integers"):
+            layer.validate()
+        with pytest.raises(EncodeError, match=f"layer 0: {field} must hold integers"):
+            encode(_hand_model(layer))
+
+
 def test_build_compressed_model_checks_profile_length():
     rng = np.random.default_rng(24)
     net = parse_network("input 1 6 6\nconv 2 tap\nconv 3\n")

@@ -1,13 +1,17 @@
 """Pooled descriptors: region grids, the pooling chain, precisions, file IO."""
 
+import struct
+
 import numpy as np
 import pytest
 
 import qnip
+from qnip.binfile import CorruptionError, Reader
 from qnip.codec import build_compressed_model
 from qnip.descriptor import (
     FULL_FRAME,
     Descriptor,
+    DescriptorSet,
     binarize_descriptor,
     convert_descriptor,
     dequantize_descriptor,
@@ -279,3 +283,147 @@ def test_load_descriptors_errors(tmp_path):
     trailing.write_bytes(bytes(data) + b"\x00")
     with pytest.raises(ValueError):
         load_descriptors(trailing)
+
+
+# ---------------------------------------------------------------------------
+# the packed DescriptorSet against a per-record reader
+
+def _oracle_load(path) -> dict:
+    """QDS1 parsed one record at a time into a dict of Descriptors."""
+    rd = Reader(open(path, "rb").read(), b"QDS1", "a descriptor file", path)
+    out = {}
+    dim, count = rd.unpack("<HI", "header")
+    for _ in range(count):
+        (id_len,) = rd.unpack("<H", "id length")
+        name = rd.take(id_len, "id").decode()
+        precision = {0: "real", 1: "byte", 2: "bit"}[rd.take(1, "precision tag")[0]]
+        if precision == "real":
+            values = rd.array(np.float32, dim, "payload").astype(np.float64)
+        elif precision == "byte":
+            values = rd.array(np.uint8, dim, "payload").copy()
+        else:
+            values = np.unpackbits(rd.array(np.uint8, -(-dim // 8), "payload"), count=dim)
+        (meta,) = rd.unpack("<f", "metadata")
+        assert name not in out
+        out[name] = Descriptor(precision, values,
+                               scale=float(meta) if precision == "byte" else None,
+                               threshold=float(meta) if precision == "bit" else None)
+    rd.finish()
+    return out
+
+
+def _qds(dim, records) -> bytes:
+    """A hand-built QDS1 file: records are (id, tag, payload, metadata)."""
+    blob = b"QDS1" + struct.pack("<HI", dim, len(records))
+    for name, tag, payload, meta in records:
+        encoded = name.encode()
+        blob += struct.pack("<H", len(encoded)) + encoded + bytes([tag]) + payload
+        blob += struct.pack("<f", meta)
+    return blob
+
+
+def _mixed_ids(rng, n):
+    """n distinct ids of 1 to 40 UTF-8 bytes, some of them non-ASCII."""
+    alphabet = list("abcxyz019_-") + ["é", "ß", "中", "😀"]
+    ids = set()
+    while len(ids) < n:
+        name = "".join(rng.choice(alphabet, int(rng.integers(1, 11))))
+        if len(name.encode()) <= 40:
+            ids.add(name)
+    return sorted(ids, key=lambda _: rng.random())
+
+
+def _assert_same_descriptors(got, want):
+    assert sorted(got) == sorted(want) and list(got) == sorted(want)
+    for name, desc in want.items():
+        loaded = got[name]
+        assert loaded == desc, name
+        assert loaded.values.dtype == desc.values.dtype, name
+        assert type(loaded.scale) is type(desc.scale), name
+        assert type(loaded.threshold) is type(desc.threshold), name
+
+
+@pytest.mark.parametrize("precision", ["real", "byte", "bit"])
+@pytest.mark.parametrize("dim", [1, 7, 8, 9, 96])
+def test_descriptor_set_load_matches_per_record_reader(tmp_path, precision, dim):
+    rng = np.random.default_rng([47, dim, len(precision)])
+    ids = _mixed_ids(rng, 23)
+    table = {name: convert_descriptor(Descriptor("real", rng.gamma(0.6, size=dim)), precision)
+             for name in ids}
+    path = tmp_path / "set.qds"
+    save_descriptors(path, table)
+    loaded = load_descriptors(path)
+    assert isinstance(loaded, DescriptorSet) and len(loaded) == len(ids)
+    assert (loaded.precision, loaded.dim) == (precision, dim)
+    assert loaded.rows.shape == (len(ids), -(-dim // 8) if precision == "bit" else dim)
+    _assert_same_descriptors(loaded, _oracle_load(path))
+    # a copy, not a view of the set's rows
+    first = loaded[ids[0]]
+    first.values += 1
+    assert loaded[ids[0]] != first
+    # a set is written from its arrays, byte for byte as its dict
+    for packed in (loaded, DescriptorSet.stack(table)):
+        save_descriptors(tmp_path / "again.qds", packed)
+        assert (tmp_path / "again.qds").read_bytes() == path.read_bytes()
+
+
+def test_descriptor_set_loads_out_of_order_files_sorted(tmp_path):
+    path = tmp_path / "shuffled.qds"
+    records = [("zeta", 1, bytes([1, 2, 3]), 0.5), ("alpha", 1, bytes([4, 5, 6]), 2.0),
+               ("mu", 1, bytes([7, 8, 9]), 0.0)]
+    path.write_bytes(_qds(3, records))
+    loaded = load_descriptors(path)
+    assert list(loaded) == ["alpha", "mu", "zeta"]
+    _assert_same_descriptors(loaded, _oracle_load(path))
+    assert loaded.rows.tolist() == [[4, 5, 6], [7, 8, 9], [1, 2, 3]]
+    assert loaded.meta.tolist() == [2.0, 0.0, 0.5]
+
+
+def test_descriptor_set_clears_bit_padding(tmp_path):
+    path = tmp_path / "padded.qds"
+    # 3 bits 1 0 1, then five padding bits set
+    path.write_bytes(_qds(3, [("a", 2, bytes([0xA0 | 0x1F]), 0.25),
+                              ("b", 2, bytes([0xA0]), 0.25)]))
+    loaded = load_descriptors(path)
+    _assert_same_descriptors(loaded, _oracle_load(path))
+    assert loaded["a"].values.tolist() == [1, 0, 1]
+    assert loaded.rows.tolist() == [[0xA0], [0xA0]]
+
+
+def test_descriptor_set_refuses_mixed_tags_and_duplicate_ids(tmp_path):
+    path = tmp_path / "bad.qds"
+    path.write_bytes(_qds(2, [("a", 1, bytes([1, 2]), 1.0), ("b", 2, bytes([0x80]), 0.5)]))
+    with pytest.raises(CorruptionError, match="record 'b' has precision tag 2"):
+        load_descriptors(path)
+    path.write_bytes(_qds(2, [("a", 1, bytes([1, 2]), 1.0), ("a", 1, bytes([3, 4]), 1.0)]))
+    with pytest.raises(CorruptionError, match=f"^{path}: duplicate id 'a'$"):
+        load_descriptors(path)
+    path.write_bytes(_qds(2, [("a", 9, bytes([1, 2]), 1.0)]))
+    with pytest.raises(CorruptionError, match="unknown precision tag 9"):
+        load_descriptors(path)
+    with pytest.raises(ValueError, match="duplicate id 'x'"):
+        DescriptorSet(["x", "y", "x"], "real", 1, np.zeros((3, 1)), np.zeros(3))
+
+
+def test_descriptor_set_is_a_read_only_mapping():
+    table = {"b": Descriptor("real", np.array([0.6, 0.8])),
+             "a": Descriptor("real", np.array([1.0, 0.0]))}
+    packed = DescriptorSet.stack(table)
+    assert DescriptorSet.stack(packed) is packed
+    assert list(packed) == ["a", "b"] and len(packed) == 2
+    assert "a" in packed and "c" not in packed and 3 not in packed
+    assert packed == table and packed.get("c") is None
+    with pytest.raises(KeyError):
+        packed["c"]
+    with pytest.raises(ValueError):
+        packed.rows[0, 0] = 2.0
+    with pytest.raises(ValueError, match="non-finite"):
+        DescriptorSet.stack({"a": Descriptor("real", np.array([np.nan]))})
+    with pytest.raises(ValueError, match="scale"):
+        DescriptorSet.stack({"a": Descriptor("byte", np.array([1], np.uint8), scale=-1.0)})
+    both = DescriptorSet.concatenate([packed, DescriptorSet.stack(
+        {"c": Descriptor("real", np.array([0.0, 1.0]))})])
+    assert list(both) == ["a", "b", "c"] and both["c"] == Descriptor("real", np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="one precision and one length"):
+        DescriptorSet.concatenate([packed, DescriptorSet.stack(
+            {"c": Descriptor("real", np.array([0.0, 1.0, 0.0]))})])

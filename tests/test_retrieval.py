@@ -9,15 +9,19 @@ from qnip.binfile import CorruptionError
 
 from qnip.descriptor import (
     Descriptor,
+    DescriptorSet,
     binarize_descriptor,
     convert_descriptor,
     dequantize_descriptor,
+    load_descriptors,
     quantize_descriptor,
+    save_descriptors,
 )
 from qnip.retrieval import (
     average_precision,
     build_index,
     evaluate,
+    Ranking,
     holidays_group,
     ingest_dataset,
     mean_average_precision,
@@ -257,6 +261,72 @@ def test_search_k_and_exclude_slice_the_full_ranking(precision):
     for k in (0, -1):
         with pytest.raises(ValueError):
             search(index, entries[qid], k=k)
+
+
+@pytest.mark.parametrize("dim", [1, 7, 8, 9, 96])
+def test_packed_hamming_equals_count_nonzero_on_flags(tmp_path, dim):
+    rng = np.random.default_rng([48, dim])
+    flags = rng.integers(0, 2, size=(40, dim)).astype(np.uint8)
+    entries = {f"r{k:02d}": Descriptor("bit", row, threshold=0.5) for k, row in enumerate(flags)}
+    path = tmp_path / "bits.qds"
+    save_descriptors(path, entries)
+    data = bytearray(path.read_bytes())
+    if dim % 8:  # set every padding bit in the file; the loader must clear them
+        record = 2 + 3 + 1 + -(-dim // 8) + 4
+        for k in range(len(entries)):
+            data[10 + k * record + record - 5] |= 0xFF >> (dim % 8)
+        path.write_bytes(bytes(data))
+    for index in (build_index(entries), build_index(load_descriptors(path))):
+        for qid in ("r00", "r17"):
+            ranked = search(index, entries[qid])
+            want = {name: int(np.count_nonzero(entries[qid].values != d.values))
+                    for name, d in entries.items()}
+            assert dict(ranked) == want
+            assert all(type(score) is int for _, score in ranked)
+
+
+def _tied_index():
+    # four rows tie with "q", two with each other, "far" last
+    entries = {name: Descriptor("real", np.array(v, np.float64)) for name, v in [
+        ("q", [1.0, 0.0]), ("t1", [2.0, 0.0]), ("t0", [3.0, 0.0]), ("t2", [1.0, 0.0]),
+        ("m1", [1.0, 1.0]), ("m0", [2.0, 2.0]), ("far", [0.0, 1.0])]}
+    return build_index(entries), entries
+
+
+def test_ranking_is_a_sequence_of_pairs():
+    index, entries = _tied_index()
+    ranked = search(index, entries["q"], exclude="q")
+    assert isinstance(ranked, Ranking) and len(ranked) == 6
+    pairs = list(ranked)
+    assert [name for name, _ in pairs] == ["t0", "t1", "t2", "m0", "m1", "far"]
+    assert ranked[0] == ("t0", 1.0) and ranked[-1] == ("far", 0.0)
+    assert all(type(name) is str and type(score) is float for name, score in ranked)
+    assert ranked == pairs and pairs == ranked and ranked != pairs[:-1]
+    assert ranked != [(name, score + 1.0) for name, score in pairs]
+    assert isinstance(ranked[1:3], Ranking) and ranked[1:3] == pairs[1:3]
+    assert ranked[::-1] == pairs[::-1] and ranked[4:] == pairs[4:]
+    assert search(index, entries["q"], k=2, exclude="q") == ranked[:2]
+    with pytest.raises(IndexError):
+        ranked[6]
+
+
+@pytest.mark.parametrize("precision", ["real", "byte", "bit"])
+def test_evaluate_ap_equals_average_precision_of_the_full_list(precision):
+    index, entries = _tied_index()
+    if precision != "real":
+        entries = {k: convert_descriptor(Descriptor("real", d.values / np.linalg.norm(d.values)),
+                                         precision) for k, d in entries.items()}
+        index = build_index(entries)
+    ground_truth = {"q": ["t2", "m1", "missing"], "t1": ["q", "t1", "far"],
+                    "m0": ["nothing-here"], "far": ["m1", "m1", "t2"]}
+    mean_ap, per_query = evaluate(index, ground_truth)
+    for qid, relevant in ground_truth.items():
+        ranked = [name for name, _ in search(index, entries[qid], exclude=qid)]
+        assert per_query[qid] == average_precision(ranked, relevant), qid
+    assert per_query["m0"] == 0.0
+    assert mean_ap == sum(per_query.values()) / len(per_query)
+    with pytest.raises(ValueError, match="relevant set is empty"):
+        evaluate(index, {"q": []})
 
 
 def test_build_index_rejects_non_finite_and_negative_scales():
