@@ -277,9 +277,9 @@ def _cmd_extract(args) -> int:
     if args.mode == "integer":  # one grid for every input any extraction runs
         exps = engine.calibrate_activation_exponents(
             net, weights, (x for im in images.values()
-                           for inputs in descriptor.orbit_inputs(
-                               net, im, args.kind, levels, not args.no_rotations)
-                           for x in inputs))
+                           for x in descriptor.orbit_inputs(
+                               net, im, args.kind, levels, not args.no_rotations
+                           ).reshape(-1, *net.input_shape)))
 
     def one(image):
         with np.errstate(**_NUMERIC_ERRORS):

@@ -10,18 +10,18 @@ followed by L2 normalization. The rotation orbit is the four quarter
 turns, so rotating the input by 90 degrees only permutes the r axis and
 the final max is bit-identical — the flagship property of the scheme.
 
-Two front ends feed that chain:
+Two front ends feed that chain one (rotations, inputs, C', H', W') array
+of tap maps: one forward pass per row of their orbit (orbit_inputs).
 
-  * extract_nip  — one forward pass per rotation; the regions are a
-    multi-level tile grid laid over the tap feature map.
-  * extract_rnip — the tile grid is applied to the *image*: each tile is
-    cropped, resized to the net input and run through the net, and its
-    whole feature map becomes one region. With crop_levels {1} the single
-    crop is the identity, which collapses to extract_nip({1}) exactly.
+  * extract_nip  — orbit (4, 1, C, H, W), one input per rotation; the
+    regions are a multi-level tile grid laid over the tap feature map.
+  * extract_rnip — orbit (4, J, C, H, W): each tile of a grid on the
+    *image* is cropped, resized to the net input and run through the
+    net, and its whole feature map is one region. With crop_levels {1}
+    the crop is the identity, which collapses to extract_nip({1}) exactly.
 
 In integer mode without given activation exponents, both calibrate once
-over every net input they run (orbit_inputs), so all rotations share one
-activation grid.
+over every row of the orbit, so all rotations share one activation grid.
 
 Descriptors exist in three precisions: real (float, unit L2 norm), byte
 (8-bit against a stored scale) and bit (1 bit per channel against the
@@ -52,7 +52,7 @@ import numpy as np
 
 from . import engine, ops
 from .binfile import CorruptionError, EncodeError, Reader, pack
-from .network import NetworkDefinition
+from .network import NetworkDefinition, tap_shape
 from .quantize import round_half_away
 
 PRECISIONS = ("real", "byte", "bit")
@@ -101,35 +101,29 @@ def roi_grid(levels: Iterable[int]) -> list[tuple[float, float, float, float]]:
     return rects
 
 
-def nip_pool(taps: Sequence[Sequence[np.ndarray]], rects=(FULL_FRAME,)) -> Descriptor:
+def nip_pool(taps, rects=(FULL_FRAME,)) -> Descriptor:
     """Run the sqrt-mean / average / max chain over every rect of every map.
 
-    taps[r] lists the feature maps contributed by rotation r, and each
-    rect of each map is one region. All feature maps must share a channel
-    count and be non-negative.
+    taps is a (rotations, inputs, C, H, W) array, or nested lists of
+    equal-shape C,H,W maps: taps[r, i] is the feature map of input i of
+    rotation r, and each rect of each map is one region. Feature maps must
+    be non-negative.
     """
-    if not taps:
-        raise ValueError("need at least one rotation")
-    channels = None
+    taps = np.asarray(taps, dtype=np.float64)
+    if taps.ndim != 5 or not taps.shape[0] * taps.shape[1] or not rects:
+        raise ops.ShapeError(f"need (rotations, inputs, C, H, W) taps and a rect, "
+                             f"got taps of shape {taps.shape} and {len(rects)} rects")
+    if taps.min(initial=0.0) < 0.0:
+        raise ValueError("feature maps must be non-negative (post-ReLU)")
+    channels = taps.shape[2]
+    # regions input-major, then rect: the mean's summation order fixes its bits
+    pooled = np.empty((taps.shape[1], len(rects), channels))
     per_rotation = []
-    for r, maps in enumerate(taps):
-        if not maps or not rects:
-            raise ValueError(f"rotation {r} contributes no regions")
-        pooled = []
-        for fmap in maps:
-            fmap = np.asarray(fmap, dtype=np.float64)
-            if fmap.ndim != 3:
-                raise ops.ShapeError(f"feature map must be C,H,W, got {fmap.shape}")
-            if channels is None:
-                channels = fmap.shape[0]
-            elif fmap.shape[0] != channels:
-                raise ops.ShapeError(
-                    f"feature maps disagree on channels: {fmap.shape[0]} vs {channels}")
-            if fmap.min(initial=0.0) < 0.0:
-                raise ValueError("feature maps must be non-negative (post-ReLU)")
-            roots = np.sqrt(fmap)
-            pooled.extend(ops.crop(roots, rect).mean(axis=(1, 2)) ** 2 for rect in rects)
-        per_rotation.append(np.mean(pooled, axis=0))
+    for maps in taps:
+        roots = np.sqrt(maps)
+        for k, rect in enumerate(rects):
+            pooled[:, k] = ops.crop(roots, rect).mean(axis=(2, 3)) ** 2
+        per_rotation.append(pooled.reshape(-1, channels).mean(axis=0))
     d = np.max(per_rotation, axis=0)
     norm = float(np.sqrt(np.sum(d * d)))
     if norm > 0.0:
@@ -137,55 +131,60 @@ def nip_pool(taps: Sequence[Sequence[np.ndarray]], rects=(FULL_FRAME,)) -> Descr
     return Descriptor("real", d)
 
 
-def sized_input(net: NetworkDefinition, image: np.ndarray) -> np.ndarray:
-    """Image resized to the net input (bit-exact pass-through when it fits)."""
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 3:
-        raise ops.ShapeError(f"image must be C,H,W, got {image.shape}")
-    c, h, w = net.input_shape
-    if image.shape[0] != c:
-        raise ops.ShapeError(f"image has {image.shape[0]} channels, net expects {c}")
-    if image.shape[1:] != (h, w):
-        image = ops.resize_bilinear(image, h, w)
-    return image
-
-
-def orbit_inputs(net: NetworkDefinition, image: np.ndarray, kind: str = "nip",
-                 crop_levels: Iterable[int] = (1, 2),
-                 rotations: bool = True) -> Iterator[list[np.ndarray]]:
-    """The net inputs an extraction runs, one list per rotation, made lazily.
-
-    nip: each quarter turn of the sized image. rnip: every crop_levels
-    tile of each quarter turn (of the unrotated image only when rotations
-    is off), resized to the net input. Rotating the image only permutes
-    the rotations, so any statistic over all inputs, such as calibrated
-    activation exponents, is rotation invariant.
-    """
-    if kind == "nip":
-        image = sized_input(net, image)
-        return ([ops.rotate90(image, k)] for k in range(4))
+def _checked_image(net: NetworkDefinition, image: np.ndarray) -> np.ndarray:
+    """The image as float64 C,H,W with the net's channel count."""
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 3:
         raise ops.ShapeError(f"image must be C,H,W, got {image.shape}")
     if image.shape[0] != net.input_shape[0]:
         raise ops.ShapeError(
             f"image has {image.shape[0]} channels, net expects {net.input_shape[0]}")
+    return image
+
+
+def sized_input(net: NetworkDefinition, image: np.ndarray) -> np.ndarray:
+    """Image resized to the net input (bit-exact pass-through when it fits)."""
+    image = _checked_image(net, image)
+    if image.shape != net.input_shape:
+        image = ops.resize_bilinear(image, *net.input_shape[1:])
+    return image
+
+
+def orbit_inputs(net: NetworkDefinition, image: np.ndarray, kind: str = "nip",
+                 crop_levels: Iterable[int] = (1, 2),
+                 rotations: bool = True) -> np.ndarray:
+    """Every net input of an extraction, as (rotations, inputs, C, H, W).
+
+    nip, (4, 1, C, H, W): row [r, 0] is the sized image turned r quarter
+    turns. rnip, (4, J, C, H, W), or (1, J, C, H, W) from the unrotated
+    image when rotations is off: row [r, j] is crop_levels tile j of the
+    image turned r quarter turns, resized to the net input. Rotating the
+    image only permutes the rotations, so any statistic over all inputs,
+    such as calibrated activation exponents, is rotation invariant.
+    """
+    if kind == "nip":
+        image = sized_input(net, image)
+        return np.stack([ops.rotate90(image, r) for r in range(4)])[:, None]
+    image = _checked_image(net, image)
     rects = roi_grid(crop_levels)
-    in_h, in_w = net.input_shape[1], net.input_shape[2]
-    rotated = (ops.rotate90(image, k) for k in (range(4) if rotations else (0,)))
-    return ([ops.resize_bilinear(ops.crop(r, rect), in_h, in_w) for rect in rects]
-            for r in rotated)
+    orbit = np.empty((4 if rotations else 1, len(rects)) + net.input_shape)
+    for r, inputs in enumerate(orbit):
+        turned = ops.rotate90(image, r)
+        for j, rect in enumerate(rects):
+            inputs[j] = ops.resize_bilinear(ops.crop(turned, rect), *net.input_shape[1:])
+    return orbit
 
 
-def _orbit_taps(net, weights, orbit, mode, act_exponents) -> list[list[np.ndarray]]:
-    """Tap maps of every orbit input; integer mode without exponents
-    calibrates them once over the whole orbit."""
+def _orbit_taps(net, weights, orbit: np.ndarray, mode, act_exponents) -> np.ndarray:
+    """Tap maps of every orbit input, one forward each, in the orbit's
+    layout; integer mode without exponents calibrates once over the orbit."""
     if mode == "integer" and act_exponents is None:
-        orbit = list(orbit)
         act_exponents = engine.calibrate_activation_exponents(
-            net, weights, [x for inputs in orbit for x in inputs])
-    return [[engine.forward(net, weights, x, mode, act_exponents)[0] for x in inputs]
-            for inputs in orbit]
+            net, weights, orbit.reshape(-1, *orbit.shape[2:]))
+    taps = np.empty(orbit.shape[:2] + tap_shape(net))
+    for at in np.ndindex(orbit.shape[:2]):
+        taps[at] = engine.forward(net, weights, orbit[at], mode, act_exponents)[0]
+    return taps
 
 
 def extract_nip(net: NetworkDefinition, weights, image: np.ndarray,
@@ -213,8 +212,7 @@ def extract_rnip(net: NetworkDefinition, weights, image: np.ndarray,
     bit-exact for any image size (when rotations is on).
     """
     orbit = orbit_inputs(net, image, "rnip", crop_levels, rotations)
-    taps = _orbit_taps(net, weights, orbit, mode, act_exponents)
-    return nip_pool(taps)
+    return nip_pool(_orbit_taps(net, weights, orbit, mode, act_exponents))
 
 
 def quantize_descriptor(desc: Descriptor) -> Descriptor:
@@ -329,7 +327,16 @@ class DescriptorSet(Mapping[str, Descriptor]):
         """The set of a dict of descriptors (a set is returned as it is)."""
         if isinstance(descriptors, DescriptorSet):
             return descriptors
-        return cls(*_stack(descriptors))
+        precision, dim = descriptor_set_shape(descriptors.values())
+        names = sorted(descriptors)
+        descs = [descriptors[n] for n in names]
+        rows = np.array([d.values for d in descs],
+                        np.float64 if precision == "real" else np.uint8)
+        if precision == "bit":
+            rows = np.packbits(rows, axis=1)
+        meta = np.zeros(len(descs)) if precision == "real" else [
+            (d.scale if precision == "byte" else d.threshold) or 0.0 for d in descs]
+        return cls(names, precision, dim, rows, meta)
 
     @classmethod
     def concatenate(cls, sets: Sequence[DescriptorSet]) -> DescriptorSet:
@@ -364,47 +371,32 @@ class DescriptorSet(Mapping[str, Descriptor]):
         return len(self.ids)
 
 
-def _stack(descriptors: Mapping[str, Descriptor]):
-    """DescriptorSet arguments of a dict of descriptors, in sorted-id
-    order and unchecked beyond their shared shape."""
-    precision, dim = descriptor_set_shape(descriptors.values())
-    names = sorted(descriptors)
-    descs = [descriptors[n] for n in names]
-    dtype = np.float64 if precision == "real" else np.uint8
-    rows = np.array([d.values for d in descs], dtype)
-    if precision == "bit":
-        rows = np.packbits(rows, axis=1)
-    meta = np.zeros(len(descs)) if precision == "real" else [
-        (d.scale if precision == "byte" else d.threshold) or 0.0 for d in descs]
-    return names, precision, dim, rows, meta
-
-
 def save_descriptors(path, descriptors: Mapping[str, Descriptor]) -> None:
-    """Write a DescriptorSet from its arrays, or a dict of descriptors as
-    it is (unchecked beyond the shape and the file's field ranges)."""
-    if isinstance(descriptors, DescriptorSet):
-        s = descriptors
-        ids, precision, dim, rows, meta = s.ids, s.precision, s.dim, s.rows, s.meta
-    else:
-        ids, precision, dim, rows, meta = _stack(descriptors)
-    header = DESC_MAGIC + pack("<HI", "header (dimension, record count)", dim, len(ids))
-    records = np.empty(len(ids), _record_dtype(precision, dim))
-    records["payload"] = rows
-    meta = np.where(np.asarray(meta) == 0.0, 0.0, meta)  # a -0.0 scale is stored as 0.0
+    """Write a DescriptorSet, or a dict of descriptors stacked into one,
+    from its arrays. Raises EncodeError for what DescriptorSet or the
+    file's field ranges refuse, and then writes nothing."""
+    try:
+        s = DescriptorSet.stack(descriptors)
+    except ValueError as err:
+        raise EncodeError(str(err)) from None
+    header = DESC_MAGIC + pack("<HI", "header (dimension, record count)", s.dim, len(s.ids))
+    records = np.empty(len(s.ids), _record_dtype(s.precision, s.dim))
+    records["payload"] = s.rows
+    meta = np.where(s.meta == 0.0, 0.0, s.meta)  # a -0.0 scale is stored as 0.0
     with np.errstate(over="ignore"):
         records["meta"] = meta
-    encoded = [name.encode() for name in ids]
+    encoded = [name.encode() for name in s.ids]
     lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
     bad_id = (lengths < 1) | (lengths > 0xFFFF)
     bad = bad_id | (np.isinf(records["meta"]) & np.isfinite(meta))
     if bad.any():
         row = int(np.argmax(bad))
-        name = ids[row]
+        name = s.ids[row]
         if bad_id[row]:
             raise EncodeError(f"id length {lengths[row]} is outside 1..65535: {name[:40]!r}")
         raise EncodeError(f"record {name[:40]!r} metadata {float(meta[row])!r} "
                           f"overflows float32")
-    tag = bytes([_TAGS[precision]])
+    tag = bytes([_TAGS[s.precision]])
     heads = [struct.pack("<H", n) + e + tag for n, e in zip(lengths.tolist(), encoded)]
     body, size = records.tobytes(), records.dtype.itemsize
     chunks = [body[at:at + size] for at in range(0, len(body), size)]
@@ -417,7 +409,7 @@ def _truncated(rd: Reader, pos: int, payload: int) -> None:
     field raises TruncationError."""
     rd.pos = pos
     (id_len,) = rd.unpack("<H", "id length")
-    rd.take(id_len, "id").decode()
+    rd.take(id_len, "id")
     rd.take(1, "precision tag")
     rd.take(payload, "payload")
     rd.take(4, "metadata")
@@ -436,7 +428,11 @@ def load_descriptors(path) -> DescriptorSet:
         start, tag_at = pos, pos + 2 + int.from_bytes(data[pos:pos + 2], "little")
         if tag_at >= end:
             _truncated(rd, start, 0)
-        names.append(data[start + 2:tag_at].decode())
+        try:
+            names.append(data[start + 2:tag_at].decode())
+        except UnicodeDecodeError:
+            raise CorruptionError(f"{path}: the id of the record at byte {start} "
+                                  f"is not UTF-8") from None
         tag = data[tag_at]
         if tag != first:
             if tag not in _TAG_NAMES:

@@ -158,21 +158,23 @@ def rotate90(x: np.ndarray, k: int = 1) -> np.ndarray:
 
 
 def crop(x: np.ndarray, rect: tuple[float, float, float, float]) -> np.ndarray:
-    """Crop by a normalized (x0, y0, x1, y1) rectangle, origin top-left.
+    """Crop the last two axes of a (..., C, H, W) array by a normalized
+    (x0, y0, x1, y1) rectangle, origin top-left.
 
     Bounds are rounded to the pixel grid; a rectangle that rounds to an
     empty region raises DegenerateCropError.
     """
-    _require_chw(x)
+    if x.ndim < 3:
+        raise ShapeError(f"input must be (..., C, H, W), got shape {x.shape}")
     x0, y0, x1, y1 = rect
     if not (0.0 <= x0 < x1 <= 1.0 and 0.0 <= y0 < y1 <= 1.0):
         raise ValueError(f"crop rect must satisfy 0 <= lo < hi <= 1, got {rect}")
-    h, w = x.shape[1], x.shape[2]
+    h, w = x.shape[-2:]
     r0, r1 = int(round(y0 * h)), int(round(y1 * h))
     c0, c1 = int(round(x0 * w)), int(round(x1 * w))
     if r1 <= r0 or c1 <= c0:
         raise DegenerateCropError(f"rect {rect} rounds to empty region on {h}x{w}")
-    return x[:, r0:r1, c0:c1].copy()
+    return x[..., r0:r1, c0:c1].copy()
 
 
 def _axis_samples(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import qnip
-from qnip.binfile import CorruptionError, Reader
+from qnip.binfile import CorruptionError, EncodeError, Reader
 from qnip.codec import build_compressed_model
 from qnip.descriptor import (
     FULL_FRAME,
@@ -19,6 +19,7 @@ from qnip.descriptor import (
     extract_rnip,
     load_descriptors,
     nip_pool,
+    orbit_inputs,
     quantize_descriptor,
     roi_grid,
     save_descriptors,
@@ -26,7 +27,7 @@ from qnip.descriptor import (
 )
 from qnip.engine import calibrate_activation_exponents
 from qnip.network import init_float_model, load_network, parse_network
-from qnip.ops import rotate90
+from qnip.ops import ShapeError, crop, resize_bilinear, rotate90
 
 
 def test_roi_grid_counts():
@@ -108,6 +109,60 @@ def test_nip_pool_validation():
 def test_nip_pool_zero_features_stay_zero():
     desc = nip_pool([[np.zeros((3, 2, 2))]])
     assert np.array_equal(desc.values, np.zeros(3))
+
+
+def _nip_pool_per_map(taps, rects):
+    """The pooling chain as one loop over the maps of each rotation and
+    the rects of each map, one region at a time."""
+    per_rotation = []
+    for maps in taps:
+        pooled = []
+        for fmap in maps:
+            roots = np.sqrt(np.asarray(fmap, dtype=np.float64))
+            pooled.extend(crop(roots, rect).mean(axis=(1, 2)) ** 2 for rect in rects)
+        per_rotation.append(np.mean(pooled, axis=0))
+    d = np.max(per_rotation, axis=0)
+    norm = float(np.sqrt(np.sum(d * d)))
+    return d / norm if norm > 0.0 else d
+
+
+def test_nip_pool_array_equals_per_map_loop():
+    rng = np.random.default_rng(48)
+    cases = 0
+    while cases < 40:
+        rotations, maps = int(rng.choice([1, 4])), int(rng.choice([1, 5, 14, 56]))
+        channels, h, w = (int(rng.choice(v)) for v in ([7, 96, 512], [5, 8, 9, 14], [5, 8, 9, 14]))
+        if rotations * maps * channels * h * w > 2_000_000:  # keep each case small
+            continue
+        levels = [(1,), (1, 2), (1, 2, 3), (3,)][cases % 4]
+        taps = np.maximum(rng.normal(size=(rotations, maps, channels, h, w)), 0.0) ** 3
+        rects = roi_grid(levels)
+        want = _nip_pool_per_map(taps, rects)
+        assert np.array_equal(nip_pool(taps, rects).values, want), taps.shape
+        assert np.array_equal(nip_pool([list(m) for m in taps], rects).values, want)
+        cases += 1
+
+
+@pytest.mark.parametrize("size", [32, 48])
+def test_orbit_inputs_shapes_and_row_order(size):
+    net, _ = _toy_setup()
+    image = np.random.default_rng(49).uniform(0.0, 1.0, (3, size, size))
+    nip = orbit_inputs(net, image, "nip")
+    assert nip.shape == (4, 1, 3, 32, 32) and nip.dtype == np.float64
+    for r in range(4):
+        assert np.array_equal(nip[r, 0], rotate90(sized_input(net, image), r))
+    for levels, rotations, shape in (((1, 2), True, (4, 5)), ((1, 2, 3), True, (4, 14)),
+                                     ((1, 2), False, (1, 5))):
+        rnip = orbit_inputs(net, image, "rnip", levels, rotations)
+        assert rnip.shape == shape + (3, 32, 32)
+        for r in range(shape[0]):
+            for j, rect in enumerate(roi_grid(levels)):
+                want = resize_bilinear(crop(rotate90(image, r), rect), 32, 32)
+                assert np.array_equal(rnip[r, j], want), (levels, r, j)
+    with pytest.raises(ShapeError, match="C,H,W"):
+        orbit_inputs(net, image[0], "rnip")
+    with pytest.raises(ShapeError, match="channels"):
+        orbit_inputs(net, image[:2], "rnip")
 
 
 def _toy_setup(seed=0):
@@ -260,6 +315,22 @@ def test_save_descriptors_rejects_mixed_dims(tmp_path):
         save_descriptors(tmp_path / "bad.qds", mixed)
 
 
+def test_save_descriptors_refuses_what_load_refuses(tmp_path):
+    path = tmp_path / "bad.qds"
+    for table in ({"a": Descriptor("real", np.array([0.5, np.nan]))},
+                  {"a": Descriptor("byte", np.array([1, 2], np.uint8), scale=-2.0)}):
+        with pytest.raises(EncodeError):
+            save_descriptors(path, table)
+        assert not path.exists()
+
+
+def test_load_descriptors_names_a_non_utf8_id(tmp_path):
+    path = tmp_path / "id.qds"
+    path.write_bytes(_qds(2, [(b"\xff", 1, bytes([1, 2]), 1.0)]))
+    with pytest.raises(CorruptionError, match=f"^{path}: .* at byte 10 is not UTF-8$"):
+        load_descriptors(path)
+
+
 def test_load_descriptors_errors(tmp_path):
     path = tmp_path / "d.qds"
     save_descriptors(path, {"a": Descriptor("real", np.array([1.0, 0.0]))})
@@ -313,10 +384,11 @@ def _oracle_load(path) -> dict:
 
 
 def _qds(dim, records) -> bytes:
-    """A hand-built QDS1 file: records are (id, tag, payload, metadata)."""
+    """A hand-built QDS1 file: records are (id, tag, payload, metadata);
+    an id given as bytes is stored as it is."""
     blob = b"QDS1" + struct.pack("<HI", dim, len(records))
     for name, tag, payload, meta in records:
-        encoded = name.encode()
+        encoded = name if isinstance(name, bytes) else name.encode()
         blob += struct.pack("<H", len(encoded)) + encoded + bytes([tag]) + payload
         blob += struct.pack("<f", meta)
     return blob

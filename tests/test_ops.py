@@ -184,6 +184,18 @@ def test_crop_halves():
     assert np.array_equal(crop(x, (0.25, 0.0, 0.75, 1.0)), x[:, :, 1:3])
 
 
+def test_crop_takes_leading_axes():
+    x = np.random.default_rng(7).normal(size=(2, 3, 4, 6, 5))
+    for rect in [(0.0, 0.0, 1.0, 1.0), (0.5, 0.0, 1.0, 0.5), (0.2, 0.3, 0.7, 0.9)]:
+        got = crop(x, rect)
+        assert got.flags.c_contiguous
+        for i in np.ndindex(x.shape[:2]):
+            assert np.array_equal(got[i], crop(x[i], rect))
+    for bad in (np.zeros((4, 4)), np.zeros(4)):
+        with pytest.raises(ShapeError):
+            crop(bad, (0.0, 0.0, 1.0, 1.0))
+
+
 def test_crop_degenerate():
     x = np.zeros((1, 4, 4))
     # 0..0.04 of a 4-pixel span rounds to zero columns
