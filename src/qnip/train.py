@@ -9,8 +9,10 @@ entry is None (the "keep float" sentinel) stay float; with an all-None
 profile the loop reproduces plain float training bit for bit.
 
 The forward pass is inference's engine._walk with training's own conv step
-(im2col + GEMM + ReLU, keeping each cols matrix for the backward pass) and
-2x2 max pool step; the backward pass reads the layer outputs it records.
+(im2col + GEMM, bias and ReLU in place, keeping each cols matrix for the
+backward pass) and 2x2 max pool step. The backward pass reads the layer
+outputs it records, routes each pool window's gradient to its first max by
+equality masks on strided slices, and computes no gradient for the image.
 Gradients and SGD updates run over one flat list in FloatModel.arrays order.
 
 Everything is deterministic given TrainConfig.seed: initialization draws
@@ -94,7 +96,9 @@ def _maxpool(x):
 def _conv_step(cols, spec, w, b, x):
     c, (h, wd) = ops.im2col(x, spec.stride, spec.padding)
     cols.append(c)
-    return np.maximum(w.reshape(w.shape[0], -1) @ c + b[:, None], 0.0).reshape(-1, h, wd)
+    out = w.reshape(w.shape[0], -1) @ c
+    out += b[:, None]
+    return np.maximum(out, 0.0, out=out).reshape(-1, h, wd)
 
 
 def _forward(net, conv_params, dense_params, image):
@@ -108,15 +112,18 @@ def _forward(net, conv_params, dense_params, image):
     return logits, outputs, cols
 
 
-def _pool_winners(x):
-    """Index 0..3 of each 2x2 window's max in row-major window order; first max wins ties."""
-    c, h, wd = x.shape
-    windows = x.reshape(c, h // 2, 2, wd // 2, 2).transpose(0, 1, 3, 2, 4)
-    return windows.reshape(c, h // 2, wd // 2, 4).argmax(axis=3)
+def _pool_backward(x, y, grad):
+    """Route grad to each 2x2 window's first max of y in row-major order, as argmax would."""
+    dx, free = np.empty_like(x), np.ones(y.shape, dtype=bool)  # free: max not yet taken
+    for di, dj in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        hit = (x[:, di::2, dj::2] == y) & free
+        free ^= hit
+        dx[:, di::2, dj::2] = np.where(hit, grad, 0.0)
+    return dx
 
 
 def _backward(net, conv_params, dense_params, image, outputs, cols, dlogits):
-    """Gradients of every parameter, in FloatModel.arrays order."""
+    """Gradients of every parameter, in FloatModel.arrays order; none for the image."""
     grads = []  # last layer first, b before w; reversed on return
     conv_i = len(conv_params)
     dense_i = len(dense_params)
@@ -134,14 +141,14 @@ def _backward(net, conv_params, dense_params, image, outputs, cols, dlogits):
         elif isinstance(spec, FlattenSpec):
             grad = grad.reshape(x.shape)
         elif isinstance(spec, PoolSpec):
-            c, h, wd = x.shape
-            flat = np.where(np.arange(4) == _pool_winners(x)[..., None], grad[..., None], 0.0)
-            grad = flat.reshape(c, h // 2, wd // 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h, wd)
+            grad = _pool_backward(x, out, grad)
         elif isinstance(spec, ConvSpec):
             conv_i -= 1
             w, _ = conv_params[conv_i]
             dpre = grad.reshape(w.shape[0], -1) * (out.reshape(w.shape[0], -1) > 0)
             grads += [dpre.sum(axis=1), (dpre @ cols[conv_i].T).reshape(w.shape)]
+            if conv_i == 0:
+                break  # only pools precede the first conv: nothing reads the image gradient
             dcols = w.reshape(w.shape[0], -1).T @ dpre
             grad = ops.col2im(dcols, x.shape, spec.stride, spec.padding)
     return grads[::-1]
@@ -246,9 +253,9 @@ def retrain_quantized(net: NetworkDefinition, float_weights: FloatModel, dataset
 def _switches(net, image, outputs) -> np.ndarray:
     """ReLU signs (of every layer output but the logits) and pool winners of one
     forward pass, as one flat array: the loss is smooth while it stays the same."""
-    pools = [x for spec, x in zip(net.layers, [image] + outputs) if isinstance(spec, PoolSpec)]
-    return np.concatenate([(y > 0).ravel() for y in outputs[:-1]]
-                          + [_pool_winners(x).ravel() for x in pools])
+    winners = [_pool_backward(x, y, np.ones_like(y)).ravel() for spec, x, y
+               in zip(net.layers, [image] + outputs, outputs) if isinstance(spec, PoolSpec)]
+    return np.concatenate([(y > 0).ravel() for y in outputs[:-1]] + winners)
 
 
 def gradient_check(net: NetworkDefinition, model: FloatModel, sample,

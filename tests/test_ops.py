@@ -120,6 +120,48 @@ def test_im2col_col2im_are_adjoint():
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
 
+def im2col_loops(x, stride, padding):
+    """Nested-loop gather: row c*9 + ki*3 + kj, column i*w_out + j, zero outside x."""
+    c_in, h, w = x.shape
+    h_out = (h + 2 * padding - 3) // stride + 1
+    w_out = (w + 2 * padding - 3) // stride + 1
+    out = np.zeros((c_in * 9, h_out * w_out), dtype=x.dtype)
+    for c in range(c_in):
+        for ki in range(3):
+            for kj in range(3):
+                for i in range(h_out):
+                    for j in range(w_out):
+                        r, s = i * stride + ki - padding, j * stride + kj - padding
+                        if 0 <= r < h and 0 <= s < w:
+                            out[c * 9 + ki * 3 + kj, i * w_out + j] = x[c, r, s]
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+def test_im2col_matches_loop_gather_exactly(dtype):
+    # integer mode passes int64 activations; float inputs carry -0.0, which
+    # must come through the zero frame with its sign
+    rng = np.random.default_rng(6)
+    for padding in (0, 1, 2):
+        for stride in (1, 2):
+            for contiguous in (True, False):
+                c, h, w = (int(v) for v in rng.integers((1, 3, 3), (4, 9, 9)))
+                x = rng.integers(-255, 256, size=(c, w, h)).astype(dtype)
+                if dtype == np.float64:
+                    x = x * rng.uniform(0.5, 1.5, size=x.shape)
+                    x[rng.random(x.shape) < 0.2] = -0.0
+                x = x.transpose(0, 2, 1)   # a non-contiguous view of a C,H,W input
+                if contiguous:
+                    x = np.ascontiguousarray(x)
+                before = x.copy()
+                cols, (h_out, w_out) = im2col(x, stride, padding)
+                want = im2col_loops(x, stride, padding)
+                assert cols.dtype == x.dtype
+                assert cols.shape == want.shape == (c * 9, h_out * w_out)
+                assert cols.tobytes() == want.tobytes(), (padding, stride, contiguous)
+                assert x.tobytes() == before.tobytes()
+
+
 def test_maxpool_matches_loop_reference():
     rng = np.random.default_rng(2)
     for _ in range(20):

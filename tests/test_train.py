@@ -5,7 +5,9 @@ import pytest
 
 from qnip.codec import build_compressed_model, dequantized_float_model
 from qnip.engine import accuracy
-from qnip.network import init_float_model, model_checksum, parse_network
+from qnip import ops, train
+from qnip.network import (ConvSpec, DenseSpec, FlattenSpec, PoolSpec, init_float_model,
+                          model_checksum, parse_network)
 from qnip.quantize import dequantize_layer, global_shift, quantize_layer
 from qnip.train import (
     DivergenceError,
@@ -23,6 +25,51 @@ NET_TEXT = "input 3 16 16\nconv 4 pad=1\npool\nconv 6 pad=1 tap\npool\nflatten\n
 # a strided col2im and a ReLU mask between dense layers
 STRIDED_TEXT = ("input 3 12 12\nconv 4 stride=2 pad=1\nconv 3 pad=1 tap\npool\n"
                 "flatten\ndense 5\ndense 3\n")
+
+
+def _argmax_pool_backward(x, grad):
+    """Oracle: each 2x2 window's gradient goes to np.argmax of its four values in
+    row-major order (the first max on ties), every other position gets +0.0."""
+    dx = np.zeros_like(x)
+    for ch, i, j in np.ndindex(grad.shape):
+        k = int(np.argmax([x[ch, 2 * i + di, 2 * j + dj] for di in (0, 1) for dj in (0, 1)]))
+        dx[ch, 2 * i + k // 2, 2 * j + k % 2] = grad[ch, i, j]
+    return dx
+
+
+def _reference_backward(net, conv_params, dense_params, image, outputs, cols, dlogits):
+    """The backward pass as it was before the slice-mask pool routing: argmax
+    winners, and col2im run down to the image, whose gradient is then dropped."""
+    grads = []
+    conv_i, dense_i = len(conv_params), len(dense_params)
+    grad = dlogits
+    inputs = [image] + outputs[:-1]
+    for spec, x, out in zip(reversed(net.layers), reversed(inputs), reversed(outputs)):
+        if isinstance(spec, DenseSpec):
+            dense_i -= 1
+            w, _ = dense_params[dense_i]
+            vin = np.maximum(x, 0.0) if dense_i > 0 else x
+            grads += [grad.copy(), np.outer(grad, vin)]
+            grad = w.T @ grad
+            if dense_i > 0:
+                grad = grad * (x > 0)
+        elif isinstance(spec, FlattenSpec):
+            grad = grad.reshape(x.shape)
+        elif isinstance(spec, PoolSpec):
+            c, h, wd = x.shape
+            windows = x.reshape(c, h // 2, 2, wd // 2, 2).transpose(0, 1, 3, 2, 4)
+            winners = windows.reshape(c, h // 2, wd // 2, 4).argmax(axis=3)
+            flat = np.where(np.arange(4) == winners[..., None], grad[..., None], 0.0)
+            grad = flat.reshape(c, h // 2, wd // 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(x.shape)
+        elif isinstance(spec, ConvSpec):
+            conv_i -= 1
+            w, _ = conv_params[conv_i]
+            dpre = grad.reshape(w.shape[0], -1) * (out.reshape(w.shape[0], -1) > 0)
+            grads += [dpre.sum(axis=1), (dpre @ cols[conv_i].T).reshape(w.shape)]
+            dcols = w.reshape(w.shape[0], -1).T @ dpre
+            grad = ops.col2im(dcols, x.shape, spec.stride, spec.padding)
+    assert grad.shape == image.shape
+    return grads[::-1]
 
 
 def _small_setup():
@@ -178,3 +225,48 @@ def test_write_metrics_csv(tmp_path):
     assert lines[0] == "epoch,loss,top1"
     assert lines[1] == "1,0.693147,0.5000"
     assert lines[2] == "2,0.250000,0.9375"
+
+
+def test_pool_backward_routes_to_first_max_on_ties():
+    # all-zero ReLU windows, repeated maxima and -0.0 beside 0.0: the slice
+    # masks must pick the same position as argmax, and leave +0.0 elsewhere
+    rng = np.random.default_rng(8)
+    x = rng.choice([-1.0, -0.0, 0.0, 1.0, 2.0], size=(4, 8, 10))
+    x[0] = np.maximum(x[0], 0.0)
+    x[1, :2, :2] = [[-0.0, 0.0], [0.0, -0.0]]
+    x[1, :2, 2:4] = [[0.0, -0.0], [-0.0, 0.0]]
+    x[2, :2, :2] = [[1.0, 2.0], [2.0, 2.0]]
+    x[3] = 0.0
+    grad = rng.normal(size=(4, 4, 5))
+    grad[0, 0, 0] = -0.0
+    got = train._pool_backward(x, train._maxpool(x), grad)
+    assert got.tobytes() == _argmax_pool_backward(x, grad).tobytes()
+
+
+def test_loss_and_grads_match_reference_backward_bit_for_bit():
+    # flat image patches give pool windows with repeated positive maxima;
+    # dead-ReLU biases make them tie at zero as well
+    for text in (NET_TEXT, STRIDED_TEXT):
+        net = parse_network(text)
+        for s in range(4):
+            model = init_float_model(net, np.random.default_rng([s, 0]))
+            if s % 2:
+                model.conv = [(w, b - 0.3) for w, b in model.conv]
+            c, h, w = net.input_shape
+            patches = np.random.default_rng([s, 1]).uniform(0, 1, (c, 2, 2))
+            image = patches.repeat(h // 2, axis=1).repeat(w // 2, axis=2)
+            label = s % 2
+            loss, grads = train._loss_and_grads(net, model.conv, model.dense, image, label)
+            logits, outputs, cols = train._forward(net, model.conv, model.dense, image)
+            convs = [y for spec, y in zip(net.layers, outputs) if isinstance(spec, ConvSpec)]
+            for (w, b), c, y in zip(model.conv, cols, convs):
+                plain = np.maximum(w.reshape(w.shape[0], -1) @ c + b[:, None], 0.0)
+                assert plain.tobytes() == y.tobytes()
+            want_loss, probs = ops.softmax_cross_entropy(logits, label)
+            dlogits = probs.copy()
+            dlogits[label] -= 1.0
+            want = _reference_backward(net, model.conv, model.dense, image, outputs, cols,
+                                       dlogits)
+            assert loss == want_loss
+            assert [(g.dtype, g.shape) for g in grads] == [(g.dtype, g.shape) for g in want]
+            assert all(g.tobytes() == r.tobytes() for g, r in zip(grads, want)), (text, s)
