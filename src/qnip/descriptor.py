@@ -11,7 +11,7 @@ turns, so rotating the input by 90 degrees only permutes the r axis and
 the final max is bit-identical — the flagship property of the scheme.
 
 Two front ends feed that chain one (rotations, inputs, C', H', W') array
-of tap maps: one forward pass per row of their orbit (orbit_inputs).
+of tap maps: one engine.forward over their whole orbit (orbit_inputs).
 
   * extract_nip  — orbit (4, 1, C, H, W), one input per rotation; the
     regions are a multi-level tile grid laid over the tap feature map.
@@ -20,8 +20,8 @@ of tap maps: one forward pass per row of their orbit (orbit_inputs).
     net, and its whole feature map is one region. With crop_levels {1}
     the crop is the identity, which collapses to extract_nip({1}) exactly.
 
-In integer mode without given activation exponents, both calibrate once
-over every row of the orbit, so all rotations share one activation grid.
+In integer mode without given activation exponents, forward calibrates
+once over the whole orbit, so all rotations share one activation grid.
 
 Descriptors exist in three precisions: real (float, unit L2 norm), byte
 (8-bit against a stored scale) and bit (1 bit per channel against the
@@ -52,7 +52,7 @@ import numpy as np
 
 from . import engine, ops
 from .binfile import CorruptionError, EncodeError, Reader, pack
-from .network import NetworkDefinition, tap_shape
+from .network import NetworkDefinition
 from .quantize import round_half_away
 
 PRECISIONS = ("real", "byte", "bit")
@@ -175,18 +175,6 @@ def orbit_inputs(net: NetworkDefinition, image: np.ndarray, kind: str = "nip",
     return orbit
 
 
-def _orbit_taps(net, weights, orbit: np.ndarray, mode, act_exponents) -> np.ndarray:
-    """Tap maps of every orbit input, one forward each, in the orbit's
-    layout; integer mode without exponents calibrates once over the orbit."""
-    if mode == "integer" and act_exponents is None:
-        act_exponents = engine.calibrate_activation_exponents(
-            net, weights, orbit.reshape(-1, *orbit.shape[2:]))
-    taps = np.empty(orbit.shape[:2] + tap_shape(net))
-    for at in np.ndindex(orbit.shape[:2]):
-        taps[at] = engine.forward(net, weights, orbit[at], mode, act_exponents)[0]
-    return taps
-
-
 def extract_nip(net: NetworkDefinition, weights, image: np.ndarray,
                 mode: str = "float", roi_levels: Iterable[int] = (1, 2, 3),
                 act_exponents=None) -> Descriptor:
@@ -197,7 +185,7 @@ def extract_nip(net: NetworkDefinition, weights, image: np.ndarray,
     first, which is only approximately rotation-commutative.
     """
     rects = roi_grid(roi_levels)
-    taps = _orbit_taps(net, weights, orbit_inputs(net, image, "nip"), mode, act_exponents)
+    taps, _ = engine.forward(net, weights, orbit_inputs(net, image, "nip"), mode, act_exponents)
     return nip_pool(taps, rects)
 
 
@@ -212,7 +200,7 @@ def extract_rnip(net: NetworkDefinition, weights, image: np.ndarray,
     bit-exact for any image size (when rotations is on).
     """
     orbit = orbit_inputs(net, image, "rnip", crop_levels, rotations)
-    return nip_pool(_orbit_taps(net, weights, orbit, mode, act_exponents))
+    return nip_pool(engine.forward(net, weights, orbit, mode, act_exponents)[0])
 
 
 def quantize_descriptor(desc: Descriptor) -> Descriptor:

@@ -12,16 +12,17 @@ integer      — emulates a fixed-point datapath: activations live on an
                2**39) computed as a float64 GEMM, and bias add +
                requantization are exact int64 shifts with half-up rounding.
 
-Every mode, and calibration, runs one layer walk (_walk) over a model
-that _prepare builds once per call: an input map (identity, or 8-bit
-quantization at the input exponent), one conv + ReLU step per conv layer
-(float conv on float or dequantized weights, or the exact float64
-im2col GEMM with integer weights, shifts and shifted bias precomputed),
-the dense head, the pool step (ops.maxpool2x2), and the value of one
-activation unit after the input and after each conv (1.0 in the float
-modes, 2**(p-8) in integer mode), applied at the tap and at flatten.
-Calibration walks the dequantized preparation; training walks its own,
-with a conv step that keeps im2col's cols and its own pool step.
+Every mode, and calibration, runs each image through one layer walk
+(_walk) over a model that _prepare builds once per call, for a whole
+stack or image set: an input map (identity, or 8-bit quantization at the
+input exponent), one conv + ReLU step per conv layer (float conv on float
+or dequantized weights, or the exact float64 im2col GEMM with integer
+weights, shifts and shifted bias precomputed), the dense head, the pool
+step (ops.maxpool2x2), and the value of one activation unit after the
+input and after each conv (1.0 in the float modes, 2**(p-8) in integer
+mode), applied at the tap and at flatten. Calibration walks the
+dequantized preparation; training walks its own, with a conv step that
+keeps im2col's cols and its own pool step.
 
 Dense layers get ReLU between them but not after the last one (raw
 logits). Integer mode converts the feature map back to floats at the
@@ -30,14 +31,15 @@ scheme only covers the 3x3 conv stack.
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import ops
 from .codec import CompressedModel, dequantized_float_model
-from .network import (ConvSpec, DenseSpec, FlattenSpec, FloatModel,
-                      NetworkDefinition, PoolSpec, check_model_matches)
+from .network import (ConvSpec, DenseSpec, FlattenSpec, FloatModel, NetworkDefinition,
+                      PoolSpec, check_model_matches, tap_shape)
 from .quantize import QuantizedLayer, compute_layer_shift, mask_levels, round_half_away
 
 MODES = ("float", "dequantized", "integer")
@@ -62,9 +64,9 @@ def check_accumulator_bounds(net: NetworkDefinition, profile) -> None:
                 f"overflows 32 bits")
 
 
-def _check_image(net: NetworkDefinition, image: np.ndarray) -> np.ndarray:
+def _check_image(net: NetworkDefinition, image: np.ndarray, stack: bool = False) -> np.ndarray:
     image = np.asarray(image, dtype=np.float64)
-    if image.shape != net.input_shape:
+    if (image.shape[-3:] if stack else image.shape) != net.input_shape:
         raise ops.ShapeError(
             f"image shape {image.shape} != network input {net.input_shape}")
     return image
@@ -83,8 +85,9 @@ def _quantize_activation(x: np.ndarray, p: int) -> np.ndarray:
     return np.minimum(q, ACT_MAX).astype(np.int64)
 
 
-def _float_conv(spec: ConvSpec, w: np.ndarray, b: np.ndarray):
-    return lambda x: ops.relu(ops.conv2d(x, w, b, spec.stride, spec.padding))
+def _float_conv(spec: ConvSpec, w: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    out = ops.conv2d(x, w, b, spec.stride, spec.padding)
+    return np.maximum(out, 0.0, out=out)  # ReLU in place on the fresh conv output
 
 
 def _integer_conv(spec: ConvSpec, layer: QuantizedLayer, p_in: int, p_out: int):
@@ -112,7 +115,7 @@ def _prepare(net: NetworkDefinition, weights, mode: str,
              act_exponents: list[int] | None = None) -> _Prepared:
     if mode != "integer":
         model = weights if mode == "float" else dequantized_float_model(weights)
-        convs = [_float_conv(spec, w, b) for spec, (w, b) in zip(net.conv_specs, model.conv)]
+        convs = [partial(_float_conv, s, w, b) for s, (w, b) in zip(net.conv_specs, model.conv)]
         return _Prepared(lambda x: x, convs, [1.0] * (len(convs) + 1), model.dense,
                          ops.maxpool2x2)
     check_accumulator_bounds(net, weights.profile)
@@ -170,11 +173,10 @@ def calibrate_activation_exponents(net: NetworkDefinition, model: CompressedMode
     prepared = _prepare(net, model, "dequantized")
     peaks = np.zeros(len(model.layers) + 1)
     count = 0
-    for image in images:
+    for count, image in enumerate(images, 1):
         image = _check_image(net, image)
         peaks[0] = max(peaks[0], float(np.abs(image).max()))
         _walk(net, prepared, image, peaks)
-        count += 1
     if count == 0:
         raise ValueError("calibration needs at least one image")
     return [compute_layer_shift(np.array([p])).e for p in peaks]
@@ -182,14 +184,15 @@ def calibrate_activation_exponents(net: NetworkDefinition, model: CompressedMode
 
 def forward(net: NetworkDefinition, weights, image: np.ndarray, mode: str = "float",
             act_exponents: list[int] | None = None):
-    """Run one image through the net. Returns (tap_feature_map, logits).
+    """Run one C,H,W image, or a (..., C, H, W) stack, through the net.
 
-    logits is None for architectures without a dense head. In integer
-    mode, omitting act_exponents self-calibrates on the given image.
+    Returns (taps, logits) with the input's leading axes; logits is None
+    without a dense head. The model is prepared once and each image walks
+    it alone. Integer mode without act_exponents calibrates over the stack.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    image = _check_image(net, image)
+    image = _check_image(net, image, stack=True)
     if mode == "float":
         if not isinstance(weights, FloatModel):
             raise TypeError("float mode needs a FloatModel")
@@ -198,9 +201,18 @@ def forward(net: NetworkDefinition, weights, image: np.ndarray, mode: str = "flo
         raise TypeError(f"{mode} mode needs a CompressedModel")
     elif weights.network != net:
         raise ValueError("compressed model was built for a different architecture")
-    elif mode == "integer" and act_exponents is None:
-        act_exponents = calibrate_activation_exponents(net, weights, [image])
-    return _walk(net, _prepare(net, weights, mode, act_exponents), image)
+    rows = image.reshape(-1, *net.input_shape)
+    if mode == "integer" and act_exponents is None:
+        act_exponents = calibrate_activation_exponents(net, weights, rows)
+    prepared = _prepare(net, weights, mode, act_exponents)
+    lead, heads = image.shape[:-3], net.dense_specs
+    taps = np.empty(lead + tap_shape(net))
+    logits = np.empty(lead + (heads[-1].out_features,)) if heads else None
+    for at, row in zip(np.ndindex(lead), rows):
+        taps[at], out = _walk(net, prepared, row)
+        if heads:
+            logits[at] = out
+    return taps, logits
 
 
 def classify(net: NetworkDefinition, weights, image: np.ndarray, mode: str = "float",
@@ -217,17 +229,15 @@ def classify(net: NetworkDefinition, weights, image: np.ndarray, mode: str = "fl
 
 def accuracy(net: NetworkDefinition, weights, dataset, mode: str = "float",
              act_exponents: list[int] | None = None) -> tuple[float, float]:
-    """(top-1, top-5) over an iterable of (image, label) pairs."""
-    n = top1 = topk = 0
-    for image, label in dataset:
-        _, logits = forward(net, weights, image, mode, act_exponents)
-        if logits is None:
-            raise ValueError("network has no classifier head")
-        kk = min(5, logits.shape[0])
-        order = np.argsort(-logits, kind="stable")[:kk]
-        top1 += int(order[0] == label)
-        topk += int(label in order)
-        n += 1
-    if n == 0:
+    """(top-1, top-5) over (image, label) pairs, as one forward over the stacked
+    images (integer mode without act_exponents calibrates on all of them)."""
+    pairs = list(dataset)
+    if not pairs:
         raise ValueError("empty dataset")
-    return top1 / n, topk / n
+    images = np.stack([_check_image(net, image) for image, _ in pairs])
+    _, logits = forward(net, weights, images, mode, act_exponents)
+    if logits is None:
+        raise ValueError("network has no classifier head")
+    labels = np.array([label for _, label in pairs])[:, None]
+    hits = np.argsort(-logits, axis=1, kind="stable")[:, :5] == labels  # ties as classify
+    return float(hits[:, 0].mean()), float(hits.any(axis=1).mean())

@@ -1,6 +1,7 @@
 """Inference engine: mode agreement, integer arithmetic, classification."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -258,3 +259,100 @@ def test_accuracy_on_rigged_model_is_perfect():
     dataset = [(np.ones((1, 4, 4)), 2)] * 4
     top1, top5 = accuracy(net, model, dataset)
     assert top1 == 1.0 and top5 == 1.0
+
+
+# c06: a stack runs one preparation, yet each image's outputs are its own
+
+def _modes(seed):
+    # eight classes, so that top-5 can miss
+    net, model = _net_and_model(seed=seed, text=NET_TEXT.replace("dense 5", "dense 8"))
+    compressed = build_compressed_model(net, model, [2, 3])
+    exponents = calibrate_activation_exponents(net, compressed, _images(4, seed=seed + 1))
+    return net, {"float": (model, None), "dequantized": (compressed, None),
+                 "integer": (compressed, exponents)}
+
+
+@pytest.mark.parametrize("mode", ["float", "dequantized", "integer"])
+def test_forward_on_a_stack_equals_per_image_forward_in_any_order(mode):
+    net, cases = _modes(30)
+    weights, exponents = cases[mode]
+    stack = np.stack(_images(6, seed=130)).reshape(2, 3, 3, 12, 12)   # (R, J, C, H, W)
+    singles = [forward(net, weights, image, mode, exponents)
+               for image in stack.reshape(6, 3, 12, 12)]
+    taps, logits = forward(net, weights, stack, mode, exponents)
+    assert taps.shape == (2, 3, 6, 4, 4) and logits.shape == (2, 3, 8)
+    for at, (tap, logit) in zip(np.ndindex(2, 3), singles):
+        assert taps[at].tobytes() == tap.tobytes() and logits[at].tobytes() == logit.tobytes()
+
+    order = np.random.default_rng(131).permutation(6)
+    taps, logits = forward(net, weights, stack.reshape(6, 3, 12, 12)[order], mode, exponents)
+    for row, k in enumerate(order):
+        assert taps[row].tobytes() == singles[k][0].tobytes()
+        assert logits[row].tobytes() == singles[k][1].tobytes()
+
+
+def test_integer_self_calibration_on_a_stack_calibrates_over_its_rows():
+    net, cases = _modes(31)
+    compressed, _ = cases["integer"]
+    # rows at different brightness, so no single row's grid fits them all
+    scales = 2.0 ** np.arange(6)[:, None, None, None]
+    stack = (np.stack(_images(6, seed=132)) * scales).reshape(3, 2, 3, 12, 12)
+    exponents = calibrate_activation_exponents(net, compressed, stack.reshape(6, 3, 12, 12))
+    self_taps, self_logits = forward(net, compressed, stack, "integer")
+    taps, logits = forward(net, compressed, stack, "integer", exponents)
+    assert self_taps.tobytes() == taps.tobytes() and self_logits.tobytes() == logits.tobytes()
+
+
+def test_forward_on_a_stack_without_a_dense_head():
+    net, model = _net_and_model(seed=32, text="input 1 8 8\nconv 2 pad=1 tap\n")
+    taps, logits = forward(net, model, np.zeros((4, 1, 8, 8)))
+    assert taps.shape == (4, 2, 8, 8) and logits is None
+
+
+def _accuracy_loop(net, weights, dataset, mode, exponents=None):
+    """(top-1, top-5) from one forward per image, ties toward the lower label."""
+    top1 = top5 = 0
+    for image, label in dataset:
+        _, logits = forward(net, weights, image, mode, exponents)
+        order = np.argsort(-logits, kind="stable")[:5]
+        top1 += int(order[0] == label)
+        top5 += int(label in order)
+    return top1 / len(dataset), top5 / len(dataset)
+
+
+@pytest.mark.parametrize("mode", ["float", "dequantized", "integer"])
+def test_accuracy_equals_per_image_loop(mode):
+    net, cases = _modes(33)
+    weights, exponents = cases[mode]
+    rng = np.random.default_rng(133)
+    dataset = [(img, int(rng.integers(0, 8))) for img in _images(30, seed=134)]
+    expected = _accuracy_loop(net, weights, dataset, mode, exponents)
+    assert accuracy(net, weights, iter(dataset), mode, exponents) == expected
+    assert 0.0 < expected[0] < expected[1] < 1.0   # the labels are neither all hit nor all missed
+
+
+def test_accuracy_integer_without_exponents_calibrates_once_over_the_dataset():
+    net, cases = _modes(35)
+    compressed, _ = cases["integer"]
+    rng = np.random.default_rng(135)
+    # images from 1/8 to 4 times as bright: one grid per image scores differently here
+    dataset = [(img * 2.0 ** (k % 6 - 3), int(rng.integers(0, 8)))
+               for k, img in enumerate(_images(20, seed=136))]
+    exponents = calibrate_activation_exponents(net, compressed, [img for img, _ in dataset])
+    shared = accuracy(net, compressed, dataset, "integer")
+    assert shared == _accuracy_loop(net, compressed, dataset, "integer", exponents)
+    assert shared != _accuracy_loop(net, compressed, dataset, "integer")
+
+
+def test_wrong_shaped_image_in_a_stack_or_dataset_names_its_shape():
+    from qnip.ops import ShapeError
+
+    net, model = _net_and_model()
+    for bad in (np.zeros((2, 3, 10, 10)), np.zeros((12, 12)), np.zeros(5)):
+        with pytest.raises(ShapeError, match=re.escape(str(bad.shape))):
+            forward(net, model, bad)
+    dataset = [(image, 0) for image in _images(3)] + [(np.zeros((3, 10, 12)), 1)]
+    with pytest.raises(ShapeError, match=re.escape("(3, 10, 12)")):
+        accuracy(net, model, dataset)
+    with pytest.raises(ValueError, match="empty dataset"):
+        accuracy(net, model, [])
