@@ -268,6 +268,20 @@ def test_extract_index_search_eval_report_flow(ws, capsys):
     # worker threads must not change the artifact either
     assert dispatch(argv + ["--jobs", "2"]) == EXIT_OK
     assert desc.read_bytes() == first
+    # nor in the compressed modes, whose workers share one dequantized weight set
+    qcm = root / "jobs.qcm"
+    assert dispatch(["quantize", "--net", str(ws["net"]), "--weights", str(ws["weights"]),
+                     "--profile", "3,1", "--out", str(qcm)]) == EXIT_OK
+    for mode in ("dequantized", "integer"):
+        for kind in ("nip", "rnip"):
+            out = root / f"jobs_{mode}_{kind}.qds"
+            compressed = ["extract", "--net", str(ws["net"]), "--weights", str(qcm),
+                          "--images", str(ws["corpus"]), "--kind", kind, "--mode", mode,
+                          "--precision", "real", "--out", str(out)]
+            assert dispatch(compressed) == EXIT_OK
+            alone = out.read_bytes()
+            assert dispatch(compressed + ["--jobs", "2"]) == EXIT_OK
+            assert out.read_bytes() == alone, f"{mode} {kind}"
     capsys.readouterr()
 
     index = root / "index.qds"

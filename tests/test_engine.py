@@ -1,13 +1,21 @@
 """Inference engine: mode agreement, integer arithmetic, classification."""
 
+import dataclasses
+import hashlib
 import math
 import re
+import sys
+import tracemalloc
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qnip.codec import build_compressed_model, dequantized_float_model
+from qnip import config_path, engine
+from qnip.codec import CompressedModel, build_compressed_model, dequantized_float_model
+from qnip.datasets import make_retrieval_corpus, make_shapes_dataset
 from qnip.engine import (
     accuracy,
     calibrate_activation_exponents,
@@ -15,7 +23,8 @@ from qnip.engine import (
     classify,
     forward,
 )
-from qnip.network import FloatModel, init_float_model, parse_network
+from qnip.network import FloatModel, init_float_model, load_network, parse_network, tap_shape
+from qnip.quantize import SHIFT_MAX, SHIFT_MIN, quantize_layer
 
 NET_TEXT = "input 3 12 12\nconv 4 pad=1\npool\nconv 6 tap\nflatten\ndense 5\n"
 
@@ -148,6 +157,30 @@ def test_integer_mode_is_exact_at_vgg_width():
     assert (codes[0] == 255).all() and (codes[1] == 0).all()
     tap, _ = forward(net, compressed, image, mode="integer", act_exponents=exponents)
     expected = codes.astype(np.float64) * 2.0 ** (exponents[-1] - 8)
+    assert tap.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("shift", [SHIFT_MIN, SHIFT_MAX])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_integer_mode_is_exact_at_the_shift_limits(m, shift):
+    # the MAC runs on the dequantized weights a*M * 2**(shift-8) and scales
+    # back by 2**(8-shift): at SHIFT_MIN the weight step is 2**-16, at
+    # SHIFT_MAX it is 2**-1
+    net, model = _net_and_model(
+        seed=40 + m, text="input 2 6 6\nconv 3 pad=1\nconv 3 stride=2 pad=1 tap\n")
+    rng = np.random.default_rng(140 + m)
+    scale = 2.0 ** shift  # alphas land mid-range on the 2**(shift-8) grid
+    layers = [quantize_layer(w * scale, rng.uniform(0.0, 1.0, b.shape) * scale, m,
+                             stride=spec.stride, padding=spec.padding, shift_override=shift)
+              for spec, (w, b) in zip(net.conv_specs, model.conv)]
+    assert all(layer.shift == shift and layer.scalars.any() for layer in layers)
+    compressed = CompressedModel(net, layers)
+    image = _images(1, shape=(2, 6, 6), seed=240 + m)[0]
+    exponents = calibrate_activation_exponents(net, compressed, [image])
+    codes = integer_codes_loops(net, compressed, image, exponents)
+    assert codes[-1].any()
+    expected = codes[-1].astype(np.float64) * 2.0 ** (exponents[-1] - 8)
+    tap, _ = forward(net, compressed, image, mode="integer", act_exponents=exponents)
     assert tap.tobytes() == expected.tobytes()
 
 
@@ -356,3 +389,191 @@ def test_wrong_shaped_image_in_a_stack_or_dataset_names_its_shape():
         accuracy(net, model, dataset)
     with pytest.raises(ValueError, match="empty dataset"):
         accuracy(net, model, [])
+
+
+# golden digests, taken before the dequantized weights were memoized: a
+# change to how a model is prepared is checked against stored bytes
+
+GOLDEN_TOYNET = {
+    "float": "65063344272955fac3398c86af836d8dce937a2c12416f0f64e1235ce902d45f",
+    "dequantized": "d392d8f6d5b679d686ac763b011eb089deab7fcc73feae61e34d288027fe3c3d",
+    "integer, shared exponents":
+        "6fb4e3915db1a9b5ef1c76a7f5ea0e448717984e0f5a03151c00de3f3767dd2c",
+    "integer, self-calibrated":
+        "e152c3485e8c38775dd0e5d4989f9a65b405a2e24e0f14ac500216ede7968aff",
+}
+
+
+def _sha256(*arrays):
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+def test_toynet_taps_and_logits_match_golden_digests():
+    net = load_network(config_path("toynet"))
+    model = init_float_model(net, np.random.default_rng(2020))
+    compressed = build_compressed_model(net, model, [2, 1, 3])
+    images = np.stack(list(make_retrieval_corpus(2, 2, 32, seed=2020).values()))
+    exponents = calibrate_activation_exponents(net, compressed, images)
+    assert {
+        "float": _sha256(*forward(net, model, images, "float")),
+        "dequantized": _sha256(*forward(net, compressed, images, "dequantized")),
+        "integer, shared exponents":
+            _sha256(*forward(net, compressed, images, "integer", exponents)),
+        "integer, self-calibrated":  # each image calibrates its own grid
+            _sha256(*(out for image in images for out in forward(net, compressed, image,
+                                                                  "integer"))),
+    } == GOLDEN_TOYNET
+
+
+@pytest.mark.parametrize("mode,expected", [("float", (9 / 60, 28 / 60)),
+                                           ("dequantized", (6 / 60, 34 / 60))])
+def test_accuracy_keeps_no_tap_array(mode, expected):
+    net = load_network(config_path("toynet"))
+    model = init_float_model(net, np.random.default_rng(60))
+    weights = model if mode == "float" else build_compressed_model(net, model, [1, 1, 1])
+    dataset = make_shapes_dataset(6, 32, seed=60)
+    tap_bytes = len(dataset) * math.prod(tap_shape(net)) * 8
+    tracemalloc.start()
+    try:
+        result = accuracy(net, weights, dataset, mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < tap_bytes
+    assert result == expected  # as when accuracy kept every image's tap
+
+
+# the dequantized weights of the last compressed model are built once and
+# reused while that model holds the same layers, arrays and shifts
+
+@pytest.fixture
+def dequantizations(monkeypatch):
+    """Every FloatModel the engine dequantizes, in order."""
+    built = []
+
+    def counting(model):
+        built.append(dequantized_float_model(model))
+        return built[-1]
+    monkeypatch.setattr(engine, "dequantized_float_model", counting)
+    return built
+
+
+def test_a_compressed_model_is_dequantized_once_across_calls(dequantizations):
+    net, model = _net_and_model(seed=50)
+    compressed = build_compressed_model(net, model, [2, 3])
+    images = _images(3, seed=150)
+    forward(net, compressed, images[0], "dequantized")
+    assert len(dequantizations) == 1
+    exponents = calibrate_activation_exponents(net, compressed, images)
+    forward(net, compressed, np.stack(images), "integer", exponents)
+    forward(net, compressed, images[1], "integer")
+    forward(net, compressed, images[2], "dequantized")
+    accuracy(net, compressed, [(image, 0) for image in images], "dequantized")
+    classify(net, compressed, images[0], "integer", 3, exponents)
+    assert len(dequantizations) == 1
+
+
+def test_worker_threads_share_one_dequantization(dequantizations):
+    net, model = _net_and_model(seed=51)
+    compressed = build_compressed_model(net, model, [3, 2])
+    images = _images(8, seed=151)
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        futures = [pool.submit(forward, net, compressed, image, "dequantized")
+                   for image in images]
+        outs = [future.result(timeout=60) for future in futures]
+    assert len(dequantizations) == 1
+    for image, (tap, logits) in zip(images, outs):
+        alone_tap, alone_logits = forward(net, compressed, image, "dequantized")
+        assert tap.tobytes() == alone_tap.tobytes()
+        assert logits.tobytes() == alone_logits.tobytes()
+
+
+def test_threads_alternating_two_models_never_see_the_other_s_weights():
+    net, model = _net_and_model(seed=56)
+    models = [build_compressed_model(net, model, [3, 2]),
+              build_compressed_model(net, model, [1, 1])]
+    image, exponents = _images(1, seed=156)[0], [0, 1, 1]
+    cases = [(m, mode) for m in (0, 1) for mode in ("dequantized", "integer")]
+    alone = [forward(net, models[m], image, mode, exponents)[1].tobytes() for m, mode in cases]
+    assert len(set(alone)) == len(cases)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the memo's check and fill
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:  # more workers than cores
+            futures = [pool.submit(forward, net, models[cases[k % 4][0]], image,
+                                   cases[k % 4][1], exponents) for k in range(48)]
+            outs = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for k, (_, logits) in enumerate(outs):
+        assert logits.tobytes() == alone[k % 4], k
+
+
+def test_the_memo_frees_a_model_s_weights_when_replaced_or_collected(dequantizations):
+    net, model = _net_and_model(seed=52)
+    image = _images(1, seed=152)[0]
+    first = build_compressed_model(net, model, [2, 3])
+    second = build_compressed_model(net, model, [3, 2])
+    forward(net, first, image, "dequantized")
+    held = weakref.ref(dequantizations.pop().conv[0][0])
+    forward(net, second, image, "dequantized")
+    dequantizations.clear()
+    assert held() is None  # replaced by the second model's weights
+    forward(net, first, image, "integer", [0, 0, 0])
+    held = weakref.ref(dequantizations.pop().conv[0][0])
+    assert held() is not None
+    del first
+    assert held() is None  # gone with its model
+
+
+def test_a_prepared_model_s_arrays_are_read_only():
+    net, model = _net_and_model(seed=53)
+    compressed = build_compressed_model(net, model, [2, 3])
+    forward(net, compressed, _images(1, seed=153)[0], "dequantized")
+    layer, (w, b) = compressed.layers[1], compressed.dense[0]
+    for array in (layer.masks, layer.scalars, layer.biases, w, b):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+
+
+def test_a_replaced_layer_dense_pair_or_shift_takes_effect(dequantizations):
+    net, model = _net_and_model(seed=54)
+    donor = build_compressed_model(net, init_float_model(net, np.random.default_rng(55)),
+                                   [3, 2])
+    compressed = build_compressed_model(net, model, [2, 3])
+    compressed.layers[0].masks[0] *= -1  # changed in place before its first forward
+    image, exponents = _images(1, seed=154)[0], [1, 1, 1]
+    tap, logits = forward(net, compressed, image, "dequantized")
+    expected = forward(net, dequantized_float_model(compressed), image, "float")
+    assert tap.tobytes() == expected[0].tobytes()
+    assert logits.tobytes() == expected[1].tobytes()
+
+    def replace_layer(m):
+        m.layers[1] = donor.layers[1]
+
+    def replace_dense(m):
+        m.dense[0] = donor.dense[0]
+
+    def lower_shift(m):
+        m.layers[0].shift -= 1
+
+    def replace_layers(m):
+        m.layers = list(donor.layers)
+
+    for change in (replace_layer, replace_dense, lower_shift, replace_layers):
+        before = forward(net, compressed, image, "integer", exponents)
+        change(compressed)
+        count = len(dequantizations)
+        got = [forward(net, compressed, image, mode, exponents)
+               for mode in ("dequantized", "integer")]
+        assert len(dequantizations) == count + 1, change.__name__
+        fresh = dataclasses.replace(compressed)  # another model object: never a memo hit
+        want = [forward(net, fresh, image, mode, exponents)
+                for mode in ("dequantized", "integer")]
+        for (tap, logits), (want_tap, want_logits) in zip(got, want):
+            assert tap.tobytes() == want_tap.tobytes(), change.__name__
+            assert logits.tobytes() == want_logits.tobytes(), change.__name__
+        assert got[1][1].tobytes() != before[1].tobytes(), change.__name__
