@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -158,17 +159,35 @@ def model_sizes(net: NetworkDefinition, profile, policy: str = DEFAULT_POLICY,
 # ---------------------------------------------------------------------------
 # the container type
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CompressedModel:
+    """Immutable: layers and dense pairs become tuples, every array read-only.
+    It builds one dequantized weight set on first use and keeps it while it
+    lives; a dataclasses.replace copy builds its own. Threads racing on first
+    use may each build identical weights (no lock on Python 3.12+); one is kept."""
+
     network: NetworkDefinition
-    layers: list[QuantizedLayer]
-    dense: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    layers: tuple[QuantizedLayer, ...]
+    dense: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
     policy: str = DEFAULT_POLICY
     source_checksum: str = ""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "layers", tuple(self.layers))
+        object.__setattr__(self, "dense", tuple((w, b) for w, b in self.dense))
+        for w, b in self.dense:
+            w.flags.writeable = b.flags.writeable = False
 
     @property
     def profile(self) -> list[int]:
         return [layer.mask_bits for layer in self.layers]
+
+    @cached_property
+    def dequantized(self) -> FloatModel:
+        weights = dequantized_float_model(self)
+        for array in weights.arrays():
+            array.flags.writeable = False
+        return weights
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CompressedModel):
@@ -341,7 +360,7 @@ def _decode(rd: Reader) -> CompressedModel:
             b = np.frombuffer(base64.b64decode(entry["b"]), np.float32)
             if b.shape != (o,):
                 raise ValueError(f"dense bias length {b.shape[0]} != {o}")
-            dense.append((w.copy(), b.copy()))
+            dense.append((w, b))
     except (KeyError, ValueError, TypeError, AttributeError) as err:  # any JSON shape
         raise CorruptionError(f"bad metadata block: {err}") from err
     if policy not in POLICIES:

@@ -1,8 +1,9 @@
 """Forward inference in three modes: float, dequantized, integer-emulated.
 
 float        — reference math on a FloatModel.
-dequantized  — reconstructs alpha_hat * mask weights from a CompressedModel
-               and runs the identical float path, so it is bit-equal to
+dequantized  — runs the identical float path on the alpha_hat * mask
+               weights a CompressedModel dequantizes once and keeps, as a
+               chip keeps its weights resident, so it is bit-equal to
                float mode on explicitly dequantized weights.
 integer      — emulates a fixed-point datapath: activations live on an
                8-bit unsigned grid x ~ q * 2**(p-8) with a per-layer
@@ -25,17 +26,6 @@ unit after the input and after each conv (1.0 in the float modes,
 walks the dequantized preparation; training walks its own, with a conv
 step that keeps im2col's cols and its own pool step.
 
-Dequantized and integer mode share one float64 weight set per
-CompressedModel, as a chip keeps its weights resident: a private memo
-holds dequantized_float_model's result for the last model run, by weak
-reference, so the weights go when that model is collected or the next
-model replaces them. A hit needs the same model object holding the same
-layer and array objects and the same shifts, and the arrays it read are
-made read-only, so an in-place write raises ValueError instead of
-serving stale weights. The memo fills under a lock (`qnip extract
---jobs` walks on worker threads). Float mode is not memoized: training
-updates FloatModels in place.
-
 Dense layers get ReLU between them but not after the last one (raw
 logits). Integer mode converts the feature map back to floats at the
 flatten boundary and runs any dense head in float — the compression
@@ -43,16 +33,14 @@ scheme only covers the 3x3 conv stack.
 """
 from __future__ import annotations
 
-import operator
-import threading
-import weakref
 from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import ops
-from .codec import CompressedModel, dequantized_float_model
+from .codec import CompressedModel
+from .codec import dequantized_float_model  # noqa: F401 (perfbench's tracer test reads it here)
 from .network import (ConvSpec, DenseSpec, FlattenSpec, FloatModel, NetworkDefinition,
                       PoolSpec, check_model_matches, tap_shape)
 from .quantize import QuantizedLayer, compute_layer_shift, mask_levels, round_half_away
@@ -131,50 +119,6 @@ def _integer_conv(spec: ConvSpec, layer: QuantizedLayer, w: np.ndarray, p_in: in
     return step
 
 
-class _Memo(NamedTuple):
-    model: weakref.ref   # the CompressedModel the weights were built from
-    sources: tuple       # its layers and the arrays they hold, compared by identity
-    fields: tuple        # each layer's (shape, mask_bits, shift), compared by value
-    weights: FloatModel  # dequantized_float_model of the model
-
-
-_memo: _Memo | None = None
-_memo_lock = threading.Lock()  # extract --jobs runs forwards on worker threads
-
-
-def _forget(ref: weakref.ref) -> None:
-    # runs when the memo's model is collected, possibly inside the locked
-    # fill, so it takes no lock: at worst it clears a newer entry, a rebuild
-    global _memo
-    memo = _memo
-    if memo is not None and memo.model is ref:
-        _memo = None
-
-
-def _dequantized(model: CompressedModel) -> FloatModel:
-    """dequantized_float_model(model), built once and reused while the same
-    model holds the same layers, arrays and shifts; the arrays it reads are
-    made read-only, so an in-place write raises instead of going stale."""
-    global _memo
-    layers = model.layers
-    sources = (*layers, *(a for layer in layers for a in (layer.scalars, layer.masks,
-                                                          layer.biases)),
-               *(a for pair in model.dense for a in pair))
-    fields = tuple((layer.shape, layer.mask_bits, layer.shift) for layer in layers)
-    with _memo_lock:
-        memo = _memo
-        if (memo is not None and memo.model() is model and memo.fields == fields
-                and len(memo.sources) == len(sources)
-                and all(map(operator.is_, memo.sources, sources))):
-            return memo.weights
-        _memo = memo = None  # free the last model's weights before building these
-        weights = dequantized_float_model(model)
-        for array in (*sources[len(layers):], *weights.arrays()):
-            array.flags.writeable = False
-        _memo = _Memo(weakref.ref(model, _forget), sources, fields, weights)
-        return weights
-
-
 def _prepare(net: NetworkDefinition, weights, mode: str,
              act_exponents: list[int] | None = None) -> _Prepared:
     if mode == "integer":
@@ -183,7 +127,7 @@ def _prepare(net: NetworkDefinition, weights, mode: str,
             raise ValueError(
                 f"need {len(weights.layers) + 1} activation exponents "
                 f"(input plus one per conv), got {len(act_exponents)}")
-    model = weights if mode == "float" else _dequantized(weights)
+    model = weights if mode == "float" else weights.dequantized
     if mode != "integer":
         convs = [partial(_float_conv, s, w, b) for s, (w, b) in zip(net.conv_specs, model.conv)]
         return _Prepared(lambda x: x, convs, [1.0] * (len(convs) + 1), model.dense,
@@ -254,15 +198,17 @@ def forward(net: NetworkDefinition, weights, image: np.ndarray, mode: str = "flo
     without a dense head. The model is prepared once and each image walks
     it alone. Integer mode without act_exponents calibrates over the stack.
     """
-    return _forward(net, weights, image, mode, act_exponents)
+    image = _check_image(net, image, stack=True)
+    return _forward(net, weights, image.reshape(-1, *net.input_shape), image.shape[:-3], mode,
+                    act_exponents)
 
 
-def _forward(net: NetworkDefinition, weights, image: np.ndarray, mode: str,
+def _forward(net: NetworkDefinition, weights, rows, lead: tuple, mode: str,
              act_exponents: list[int] | None, keep_taps: bool = True):
-    """forward; without keep_taps the taps are walked but not kept (None)."""
+    """forward over rows, a sequence of checked images, with taps and logits
+    shaped lead + ...; without keep_taps the taps are walked but not kept (None)."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    image = _check_image(net, image, stack=True)
     if mode == "float":
         if not isinstance(weights, FloatModel):
             raise TypeError("float mode needs a FloatModel")
@@ -271,11 +217,10 @@ def _forward(net: NetworkDefinition, weights, image: np.ndarray, mode: str,
         raise TypeError(f"{mode} mode needs a CompressedModel")
     elif weights.network != net:
         raise ValueError("compressed model was built for a different architecture")
-    rows = image.reshape(-1, *net.input_shape)
     if mode == "integer" and act_exponents is None:
         act_exponents = calibrate_activation_exponents(net, weights, rows)
     prepared = _prepare(net, weights, mode, act_exponents)
-    lead, heads = image.shape[:-3], net.dense_specs
+    heads = net.dense_specs
     taps = np.empty(lead + tap_shape(net)) if keep_taps else None
     logits = np.empty(lead + (heads[-1].out_features,)) if heads else None
     for at, row in zip(np.ndindex(lead), rows):
@@ -301,14 +246,15 @@ def classify(net: NetworkDefinition, weights, image: np.ndarray, mode: str = "fl
 
 def accuracy(net: NetworkDefinition, weights, dataset, mode: str = "float",
              act_exponents: list[int] | None = None) -> tuple[float, float]:
-    """(top-1, top-5) over (image, label) pairs, as one forward over the stacked
-    images that keeps only the logits (integer mode without act_exponents
-    calibrates on all of them)."""
+    """(top-1, top-5) over (image, label) pairs, as one forward over the
+    images, unstacked, that keeps only the logits (integer mode without
+    act_exponents calibrates on all of them)."""
     pairs = list(dataset)
     if not pairs:
         raise ValueError("empty dataset")
-    images = np.stack([_check_image(net, image) for image, _ in pairs])
-    _, logits = _forward(net, weights, images, mode, act_exponents, keep_taps=False)
+    images = [_check_image(net, image) for image, _ in pairs]
+    _, logits = _forward(net, weights, images, (len(images),), mode, act_exponents,
+                         keep_taps=False)
     if logits is None:
         raise ValueError("network has no classifier head")
     labels = np.array([label for _, label in pairs])[:, None]

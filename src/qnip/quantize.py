@@ -187,9 +187,9 @@ class QuantStats:
     degenerate: bool = False
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class QuantizedLayer:
-    """One conv layer in compressed form.
+    """One conv layer in compressed form, immutable: arrays read-only once built.
 
     scalars: (out, in) uint8 mantissas; masks: (out, in, 9) int8;
     biases: (out,) int16 in [-2048, 2047]; shift: shared exponent e.
@@ -202,6 +202,10 @@ class QuantizedLayer:
     masks: np.ndarray
     biases: np.ndarray
     stats: QuantStats | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        for array in (self.scalars, self.masks, self.biases):
+            array.flags.writeable = False
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuantizedLayer):

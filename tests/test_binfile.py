@@ -150,8 +150,8 @@ def _compressed(net_text, **layer_changes):
     net = parse_network(net_text)
     model = build_compressed_model(net, init_float_model(net, np.random.default_rng(0)),
                                    [1] * len(net.conv_layer_shapes()))
-    model.layers = [dataclasses.replace(layer, **layer_changes) for layer in model.layers]
-    return model
+    return dataclasses.replace(
+        model, layers=[dataclasses.replace(layer, **layer_changes) for layer in model.layers])
 
 
 def _too_large():
@@ -160,9 +160,10 @@ def _too_large():
     beyond the float32 range. Unreachable and so left out: the QCM2
     metadata length (u32), the QFW1 rank (u8; NumPy caps rank at 64) and the
     QDS1 record count (u32)."""
-    many = _compressed("input 1 3 3\nconv 1 pad=1 tap\n")
-    many.network = parse_network("input 1 3 3\n" + "conv 1 pad=1\n" * 65536)
-    many.layers *= 65536
+    one = _compressed("input 1 3 3\nconv 1 pad=1 tap\n")
+    many = dataclasses.replace(
+        one, network=parse_network("input 1 3 3\n" + "conv 1 pad=1\n" * 65536),
+        layers=one.layers * 65536)
     pair = (np.zeros((1, 1, 3, 3)), np.zeros(1))
     huge = np.broadcast_to(0.0, (2 ** 32,))  # a view: no memory behind it
     return [

@@ -1,5 +1,6 @@
 """Compressed-container codec: ratios, sizes, byte layout, round trips, errors."""
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -188,11 +189,12 @@ def test_one_bit_round_trip_all_plus_and_all_minus():
                                         [1])
     for sign, mask_bytes in ((1, b"\xff" * 6 + b"\xfc"), (-1, b"\x00" * 7)):
         layer = compressed.layers[0]
-        layer.masks = np.full_like(layer.masks, sign)
-        data = encode(compressed)
+        layer = dataclasses.replace(layer, masks=np.full_like(layer.masks, sign))
+        signed = dataclasses.replace(compressed, layers=[layer])
+        data = encode(signed)
         assert data[7 + 8 + 6:7 + 8 + 6 + 7] == mask_bytes
         again = decode(data)
-        assert again == compressed
+        assert again == signed
         assert again.layers[0].masks.dtype == np.int8
 
 
@@ -205,6 +207,19 @@ def test_round_trip_identity():
         again = decode(encode(compressed))
         assert again == compressed
         assert encode(again) == encode(compressed)
+
+
+def test_list_and_tuple_built_containers_compare_equal():
+    net = parse_network("input 3 10 10\nconv 5 pad=1\npool\nconv 7 tap\nflatten\ndense 4\n")
+    built = build_compressed_model(net, init_float_model(net, np.random.default_rng(23)), [2, 1])
+    from_lists = CompressedModel(net, list(built.layers), [list(pair) for pair in built.dense],
+                                 built.policy, built.source_checksum)
+    from_tuples = CompressedModel(net, tuple(built.layers), tuple(built.dense),
+                                  built.policy, built.source_checksum)
+    assert type(from_lists.layers) is type(from_lists.dense) is tuple
+    assert from_lists == from_tuples == built
+    assert decode(encode(from_lists)) == from_lists
+    assert decode(encode(from_tuples)) == from_tuples
 
 
 def test_round_trip_preserves_dequantized_forwarding():
@@ -290,14 +305,13 @@ def test_decode_rejects_reshaped_dense_head():
     compressed = build_compressed_model(net, init_float_model(net, rng), [1])
     assert decode(encode(compressed)) == compressed
     w, _ = compressed.dense[0]
-    compressed.dense = [(w.reshape(6, 4), np.zeros(6, np.float32))]
+    reshaped = dataclasses.replace(compressed, dense=[(w.reshape(6, 4), np.zeros(6, np.float32))])
     with pytest.raises(CorruptionError, match="dense head shapes"):
-        decode(encode(compressed))
+        decode(encode(reshaped))
 
 
 def test_encode_validates_layers():
-    layer = _hand_layer([1] * 9)
-    layer.masks = np.array([[[2] * 9]], dtype=np.int8)  # out of range for m=1
+    layer = _hand_layer([2] * 9)  # out of range for m=1
     with pytest.raises(EncodeError):
         encode(_hand_model(layer))
 
@@ -308,8 +322,8 @@ def test_encode_refuses_non_integer_layer_arrays():
     for field, value in [("masks", np.full((1, 1, 9), 0.9)),
                          ("scalars", np.array([[200.0]])),
                          ("biases", np.array([1.0]))]:
-        layer = _hand_layer([1, -1] * 4 + [1], mask_bits=2)
-        setattr(layer, field, value)
+        layer = dataclasses.replace(_hand_layer([1, -1] * 4 + [1], mask_bits=2),
+                                    **{field: value})
         with pytest.raises(ValueError, match=f"{field} must hold integers"):
             layer.validate()
         with pytest.raises(EncodeError, match=f"layer 0: {field} must hold integers"):

@@ -13,8 +13,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qnip import config_path, engine
-from qnip.codec import CompressedModel, build_compressed_model, dequantized_float_model
+from qnip import codec, config_path, engine
+from qnip.codec import (CompressedModel, build_compressed_model, decode,
+                         dequantized_float_model, encode)
 from qnip.datasets import make_retrieval_corpus, make_shapes_dataset
 from qnip.engine import (
     accuracy,
@@ -139,17 +140,18 @@ def test_integer_mode_is_exact_at_vgg_width():
     # 255 and every input code 255, so |accumulator| reaches
     # 512 * 9 * 255 * 255 * 15 > 2**32; mixed signs cancel to small sums
     net, model = _net_and_model(seed=20, text="input 512 3 3\nconv 6 pad=1 tap\n")
-    compressed = build_compressed_model(net, model, [5])
-    layer = compressed.layers[0]
+    built = build_compressed_model(net, model, [5])
+    layer = built.layers[0]
     rng = np.random.default_rng(120)
     signs = rng.choice([-1, 1], size=layer.masks.shape)
     signs[0], signs[1] = 1, -1                   # clips at 255; ReLU zero
     for o, total in ((2, 2), (3, -2)):           # whole window sums to +-2 * 15
         flat = np.array([1] * (2304 + total // 2) + [-1] * (2304 - total // 2))
         signs[o] = rng.permutation(flat).reshape(512, 9)
-    layer.masks[:] = 15 * signs
-    layer.scalars[:] = 255
-    layer.biases[:] = [0, 0, 16, 16, -7, 5]
+    layer = dataclasses.replace(layer, masks=(15 * signs).astype(np.int8),
+                                scalars=np.full_like(layer.scalars, 255),
+                                biases=np.array([0, 0, 16, 16, -7, 5], np.int16))
+    compressed = dataclasses.replace(built, layers=[layer])
     exponents = [0, layer.shift + 5]             # acc -> output is a right shift by 13
     image = np.ones((512, 3, 3))                 # every input code is 255
     codes = integer_codes_loops(net, compressed, image, exponents)[-1]
@@ -436,6 +438,7 @@ def test_accuracy_keeps_no_tap_array(mode, expected):
     weights = model if mode == "float" else build_compressed_model(net, model, [1, 1, 1])
     dataset = make_shapes_dataset(6, 32, seed=60)
     tap_bytes = len(dataset) * math.prod(tap_shape(net)) * 8
+    stack_bytes = len(dataset) * math.prod(net.input_shape) * 8
     tracemalloc.start()
     try:
         result = accuracy(net, weights, dataset, mode)
@@ -443,22 +446,29 @@ def test_accuracy_keeps_no_tap_array(mode, expected):
     finally:
         tracemalloc.stop()
     assert peak < tap_bytes
-    assert result == expected  # as when accuracy kept every image's tap
+    assert peak < stack_bytes  # nor a stacked copy of the dataset
+    assert result == expected  # as when accuracy kept every image's tap or stacked its images
 
 
-# the dequantized weights of the last compressed model are built once and
-# reused while that model holds the same layers, arrays and shifts
+# a CompressedModel is immutable and owns its dequantized weights: built on
+# first use, kept while it lives, never handed to a dataclasses.replace copy
 
 @pytest.fixture
 def dequantizations(monkeypatch):
-    """Every FloatModel the engine dequantizes, in order."""
+    """Every FloatModel a container dequantizes, in order."""
     built = []
 
     def counting(model):
         built.append(dequantized_float_model(model))
         return built[-1]
-    monkeypatch.setattr(engine, "dequantized_float_model", counting)
+    monkeypatch.setattr(codec, "dequantized_float_model", counting)
     return built
+
+
+def test_engine_holds_codec_s_dequantized_float_model():
+    # perfbench's tracer wraps the function on every module holding it, and
+    # its self-test reads the wrapper back through engine
+    assert engine.dequantized_float_model is codec.dequantized_float_model
 
 
 def test_a_compressed_model_is_dequantized_once_across_calls(dequantizations):
@@ -472,8 +482,80 @@ def test_a_compressed_model_is_dequantized_once_across_calls(dequantizations):
     forward(net, compressed, images[1], "integer")
     forward(net, compressed, images[2], "dequantized")
     accuracy(net, compressed, [(image, 0) for image in images], "dequantized")
+    accuracy(net, compressed, [(image, 0) for image in images], "integer")
     classify(net, compressed, images[0], "integer", 3, exponents)
-    assert len(dequantizations) == 1
+    assert dequantizations == [compressed.dequantized]
+
+
+def test_a_container_is_frozen_and_read_only_before_any_forward():
+    net, model = _net_and_model(seed=53)
+    compressed = build_compressed_model(net, model, [2, 3])
+    layer, (w, b) = compressed.layers[1], compressed.dense[0]
+    for obj, name in ((compressed, "layers"), (compressed, "dense"), (compressed, "network"),
+                      (layer, "shift"), (layer, "masks")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, getattr(obj, name))
+    with pytest.raises(TypeError):
+        compressed.layers[0] = layer  # a tuple
+    for array in (layer.masks, layer.scalars, layer.biases, w, b):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    assert all(array.flags.writeable for array in model.arrays())  # float64 source, copied
+    forward(net, compressed, _images(1, seed=153)[0], "dequantized")
+    for array in compressed.dequantized.arrays():
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+
+
+def test_a_container_s_weights_die_with_it(dequantizations):
+    net, model = _net_and_model(seed=52)
+    image = _images(1, seed=152)[0]
+    first = build_compressed_model(net, model, [2, 3])
+    second = build_compressed_model(net, model, [3, 2])
+    forward(net, first, image, "dequantized")
+    forward(net, second, image, "integer", [0, 0, 0])
+    held = [weakref.ref(weights) for weights in dequantizations]
+    dequantizations.clear()
+    assert all(ref() is not None for ref in held)  # one weight set per live container
+    del first
+    assert held[0]() is None and held[1]() is not None
+    del second
+    assert held[1]() is None
+
+
+def test_a_replaced_layer_dense_pair_or_shift_takes_effect(dequantizations):
+    net, model = _net_and_model(seed=54)
+    donor = build_compressed_model(net, init_float_model(net, np.random.default_rng(55)),
+                                   [3, 2])
+    compressed = build_compressed_model(net, model, [2, 3])
+    image, exponents, modes = _images(1, seed=154)[0], [1, 1, 1], ("dequantized", "integer")
+    before = [forward(net, compressed, image, mode, exponents) for mode in modes]
+    own = compressed.dequantized
+    first, second = compressed.layers
+    copies = {
+        "replace_layer": dataclasses.replace(compressed, layers=[first, donor.layers[1]]),
+        "replace_dense": dataclasses.replace(compressed, dense=donor.dense),
+        "lower_shift": dataclasses.replace(
+            compressed, layers=[dataclasses.replace(first, shift=first.shift - 1), second]),
+        "replace_layers": dataclasses.replace(compressed, layers=list(donor.layers)),
+    }
+    for name, copy in copies.items():
+        count = len(dequantizations)
+        got = [forward(net, copy, image, mode, exponents) for mode in modes]
+        assert len(dequantizations) == count + 1, name
+        assert copy.dequantized is not own, name
+        expected = forward(net, dequantized_float_model(copy), image, "float")
+        rebuilt = forward(net, decode(encode(copy)), image, "integer", exponents)
+        for (tap, logits), (want_tap, want_logits) in zip(got, (expected, rebuilt)):
+            assert tap.tobytes() == want_tap.tobytes(), name
+            assert logits.tobytes() == want_logits.tobytes(), name
+        assert got[1][1].tobytes() != before[1][1].tobytes(), name
+    count = len(dequantizations)
+    again = [forward(net, compressed, image, mode, exponents) for mode in modes]
+    assert compressed.dequantized is own and len(dequantizations) == count
+    for (tap, logits), (want_tap, want_logits) in zip(again, before):
+        assert tap.tobytes() == want_tap.tobytes()
+        assert logits.tobytes() == want_logits.tobytes()
 
 
 def test_worker_threads_share_one_dequantization(dequantizations):
@@ -484,7 +566,11 @@ def test_worker_threads_share_one_dequantization(dequantizations):
         futures = [pool.submit(forward, net, compressed, image, "dequantized")
                    for image in images]
         outs = [future.result(timeout=60) for future in futures]
-    assert len(dequantizations) == 1
+    # cached_property fills under a lock before Python 3.12; from 3.12 on,
+    # racing first uses may each build identical weights, one per worker at most
+    assert 1 <= len(dequantizations) <= 4
+    if sys.version_info < (3, 12):
+        assert len(dequantizations) == 1
     for image, (tap, logits) in zip(images, outs):
         alone_tap, alone_logits = forward(net, compressed, image, "dequantized")
         assert tap.tobytes() == alone_tap.tobytes()
@@ -497,10 +583,11 @@ def test_threads_alternating_two_models_never_see_the_other_s_weights():
               build_compressed_model(net, model, [1, 1])]
     image, exponents = _images(1, seed=156)[0], [0, 1, 1]
     cases = [(m, mode) for m in (0, 1) for mode in ("dequantized", "integer")]
-    alone = [forward(net, models[m], image, mode, exponents)[1].tobytes() for m, mode in cases]
+    alone = [forward(net, dataclasses.replace(models[m]), image, mode, exponents)[1].tobytes()
+             for m, mode in cases]
     assert len(set(alone)) == len(cases)
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often, inside the memo's check and fill
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the first-use build
     try:
         with ThreadPoolExecutor(max_workers=6) as pool:  # more workers than cores
             futures = [pool.submit(forward, net, models[cases[k % 4][0]], image,
@@ -510,70 +597,3 @@ def test_threads_alternating_two_models_never_see_the_other_s_weights():
         sys.setswitchinterval(interval)
     for k, (_, logits) in enumerate(outs):
         assert logits.tobytes() == alone[k % 4], k
-
-
-def test_the_memo_frees_a_model_s_weights_when_replaced_or_collected(dequantizations):
-    net, model = _net_and_model(seed=52)
-    image = _images(1, seed=152)[0]
-    first = build_compressed_model(net, model, [2, 3])
-    second = build_compressed_model(net, model, [3, 2])
-    forward(net, first, image, "dequantized")
-    held = weakref.ref(dequantizations.pop().conv[0][0])
-    forward(net, second, image, "dequantized")
-    dequantizations.clear()
-    assert held() is None  # replaced by the second model's weights
-    forward(net, first, image, "integer", [0, 0, 0])
-    held = weakref.ref(dequantizations.pop().conv[0][0])
-    assert held() is not None
-    del first
-    assert held() is None  # gone with its model
-
-
-def test_a_prepared_model_s_arrays_are_read_only():
-    net, model = _net_and_model(seed=53)
-    compressed = build_compressed_model(net, model, [2, 3])
-    forward(net, compressed, _images(1, seed=153)[0], "dequantized")
-    layer, (w, b) = compressed.layers[1], compressed.dense[0]
-    for array in (layer.masks, layer.scalars, layer.biases, w, b):
-        with pytest.raises(ValueError, match="read-only"):
-            array[...] = 0
-
-
-def test_a_replaced_layer_dense_pair_or_shift_takes_effect(dequantizations):
-    net, model = _net_and_model(seed=54)
-    donor = build_compressed_model(net, init_float_model(net, np.random.default_rng(55)),
-                                   [3, 2])
-    compressed = build_compressed_model(net, model, [2, 3])
-    compressed.layers[0].masks[0] *= -1  # changed in place before its first forward
-    image, exponents = _images(1, seed=154)[0], [1, 1, 1]
-    tap, logits = forward(net, compressed, image, "dequantized")
-    expected = forward(net, dequantized_float_model(compressed), image, "float")
-    assert tap.tobytes() == expected[0].tobytes()
-    assert logits.tobytes() == expected[1].tobytes()
-
-    def replace_layer(m):
-        m.layers[1] = donor.layers[1]
-
-    def replace_dense(m):
-        m.dense[0] = donor.dense[0]
-
-    def lower_shift(m):
-        m.layers[0].shift -= 1
-
-    def replace_layers(m):
-        m.layers = list(donor.layers)
-
-    for change in (replace_layer, replace_dense, lower_shift, replace_layers):
-        before = forward(net, compressed, image, "integer", exponents)
-        change(compressed)
-        count = len(dequantizations)
-        got = [forward(net, compressed, image, mode, exponents)
-               for mode in ("dequantized", "integer")]
-        assert len(dequantizations) == count + 1, change.__name__
-        fresh = dataclasses.replace(compressed)  # another model object: never a memo hit
-        want = [forward(net, fresh, image, mode, exponents)
-                for mode in ("dequantized", "integer")]
-        for (tap, logits), (want_tap, want_logits) in zip(got, want):
-            assert tap.tobytes() == want_tap.tobytes(), change.__name__
-            assert logits.tobytes() == want_logits.tobytes(), change.__name__
-        assert got[1][1].tobytes() != before[1].tobytes(), change.__name__
