@@ -403,42 +403,64 @@ def _truncated(rd: Reader, pos: int, payload: int) -> None:
     rd.take(4, "metadata")
 
 
-def load_descriptors(path) -> DescriptorSet:
-    """Walk the records once for their ids and tags, then read every
-    payload and metadata field in one gather. The bit padding bits are
-    cleared; an out-of-order file loads sorted."""
-    rd = Reader(Path(path).read_bytes(), DESC_MAGIC, "a descriptor file", path)
-    dim, count = rd.unpack("<HI", "header")
-    data, pos, end = rd.data, rd.pos, len(rd.data)
-    names, records = [], []
-    first = record = None
-    for _ in range(count):
-        start, tag_at = pos, pos + 2 + int.from_bytes(data[pos:pos + 2], "little")
-        if tag_at >= end:
-            _truncated(rd, start, 0)
+def _ids(path, data: bytes, starts, tags_at) -> list[str]:
+    """The UTF-8 ids of the records at starts, each ending at its tag."""
+    names = []
+    for start, tag_at in zip(starts, tags_at):
         try:
             names.append(data[start + 2:tag_at].decode())
         except UnicodeDecodeError:
             raise CorruptionError(f"{path}: the id of the record at byte {start} "
                                   f"is not UTF-8") from None
-        tag = data[tag_at]
-        if tag != first:
-            if tag not in _TAG_NAMES:
-                raise CorruptionError(f"{path}: unknown precision tag {tag}")
-            if first is not None:
-                raise CorruptionError(f"{path}: record {names[-1]!r} has precision tag "
-                                      f"{tag}, the first record {first}")
-            first, record = tag, _record_dtype(_TAG_NAMES[tag], dim)
-        pos = tag_at + 1 + record.itemsize
-        if pos > end:
-            _truncated(rd, start, record.itemsize - 4)
-        records.append(data[tag_at + 1:pos])
+    return names
+
+
+def load_descriptors(path) -> DescriptorSet:
+    """Walk the records once for their starts, check every tag in one
+    comparison, then gather every payload and metadata field in one fancy
+    index over the file's record-sized windows. The walk stops at the end
+    of the file, so a forged record count allocates nothing. The bit
+    padding bits are cleared; an out-of-order file loads sorted."""
+    rd = Reader(Path(path).read_bytes(), DESC_MAGIC, "a descriptor file", path)
+    dim, count = rd.unpack("<HI", "header")
+    data, end = rd.data, len(rd.data)
+    if not count:
+        rd.finish()
+        raise CorruptionError(f"{path}: no descriptors")
+    first_at = rd.pos + 2 + int.from_bytes(data[rd.pos:rd.pos + 2], "little")
+    if first_at >= end:
+        _truncated(rd, rd.pos, 0)
+    _ids(path, data, [rd.pos], [first_at])  # an id is checked before its tag
+    first = data[first_at]
+    if first not in _TAG_NAMES:
+        raise CorruptionError(f"{path}: unknown precision tag {first}")
+    precision = _TAG_NAMES[first]
+    record = _record_dtype(precision, dim)
+    starts, pos = [], rd.pos
+    for _ in range(count):
+        if pos + 2 > end:
+            break
+        starts.append(pos)
+        pos += 3 + record.itemsize + data[pos] + (data[pos + 1] << 8)
+    # a record's tag sits just before its payload and metadata
+    tags_at = np.array(starts[1:] + [pos]) - (1 + record.itemsize)
+    buf = np.frombuffer(data, np.uint8)
+    tags = buf[tags_at[tags_at < end]]
+    mixed = np.flatnonzero(tags != first)
+    # ids up to the first bad tag, so that a bad id ahead of it is named first
+    names = _ids(path, data, starts, tags_at[:mixed[0] + 1 if mixed.size else len(tags)].tolist())
+    if mixed.size:
+        tag = int(tags[mixed[0]])
+        if tag not in _TAG_NAMES:
+            raise CorruptionError(f"{path}: unknown precision tag {tag}")
+        raise CorruptionError(f"{path}: record {names[-1]!r} has precision tag "
+                              f"{tag}, the first record {first}")
+    if pos > end or len(starts) < count:
+        _truncated(rd, starts[-1] if pos > end else pos, record.itemsize - 4)
     rd.pos = pos
     rd.finish()
-    if not count:
-        raise CorruptionError(f"{path}: no descriptors")
-    precision = _TAG_NAMES[first]
-    stored = np.frombuffer(b"".join(records), record)
+    windows = np.lib.stride_tricks.sliding_window_view(buf, record.itemsize)
+    stored = windows[tags_at + 1].view(record)[:, 0]
     rows = stored["payload"].astype(np.float64 if precision == "real" else np.uint8)
     if precision == "bit" and dim % 8:
         rows[:, -1] &= 0xFF << (8 - dim % 8) & 0xFF

@@ -6,9 +6,26 @@ rows as they are: float64 rows for real, the stored uint8 codes for byte
 (cosine ignores a positive per-row scale; a row with scale 0 dequantizes
 to zeros and gets norm 0), and the packed bits for bit, whose Hamming
 distance is a popcount of XOR. Its only new array is each real or byte
-row's L2 norm. search then scores every row in one vectorised pass,
-ranks them with one stable sort and returns a Ranking: a sequence of
-(id, score) pairs held as the ranked rows and their scores.
+row's L2 norm. search then scores every row in one vectorised pass and
+returns a Ranking: a sequence of (id, score) pairs that holds every
+row's score, the excluded row and k. Its order is one stable argsort of
+the scores, run when the ranking is first iterated, indexed or sliced.
+
+evaluate needs only the ranks of each query's relevant rows, so
+Ranking.average_precision counts them instead of sorting the index. For
+cosine it sorts the score values once (np.sort, no indices), finds how
+many rows score better than each relevant row with one np.searchsorted
+and, only for a relevant score that other rows share, counts the equal
+scores at lower rows by stable-sorting just the rows that share it.
+Hamming distances tie often, so there it sorts distance * N + row, which
+orders the rows exactly as the stable argsort does. The ranks are
+exactly the argsort's, ties, -0.0 == 0.0 and NaN (which sorts last)
+included. At N = 10,000 on 2 vCPUs (NumPy 2.4), ranking 3 to 1,000
+relevant rows costs 50-320 us per query for cosine and 75-160 us for
+Hamming, against 550-1,100 us for the stable argsort. Only cosine scores
+that take few distinct values, with a hundred or more relevant rows, cost
+more than the argsort (up to about 2.5 times at 97 distinct values and
+1,000 relevant rows), since nearly every row then shares a relevant score.
 
 Ties break toward the lexicographically smaller id so rankings are
 reproducible. Exact duplicate rows always get identical scores: the
@@ -33,9 +50,11 @@ File fixtures:
 """
 from __future__ import annotations
 
+import copy
 import warnings
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -60,24 +79,46 @@ class RetrievalIndex:
 
 
 class Ranking(Sequence):
-    """Ranked (id, score) pairs of one search, held as arrays: the index
-    row of each ranked entry, best first, and its score. Items are
-    (str, int) pairs for Hamming scores and (str, float) pairs for cosine;
-    a slice is a Ranking, and a Ranking equals any sequence of equal pairs."""
+    """Ranked (id, score) pairs of one search. Items are (str, int) pairs
+    for Hamming scores and (str, float) pairs for cosine; a slice is a
+    Ranking, and a Ranking equals any sequence of equal pairs.
 
-    def __init__(self, entries: DescriptorSet, order: np.ndarray, scores: np.ndarray):
-        self.entries, self.order, self.scores = entries, order, scores
+    It holds every index row's score, the excluded row and the positions
+    it covers in the full ranking (range(k) after a search with k). The
+    ranked order is sorted once, when the ranking is first read in order;
+    len and average_precision never sort it."""
+
+    def __init__(self, entries: DescriptorSet, scores: np.ndarray, exclude: int | None,
+                 k: int | None):
+        self.entries, self.scores, self.exclude = entries, scores, exclude
+        self.positions = range(len(scores) - (exclude is not None))[:k]
+
+    @property
+    def _keys(self) -> np.ndarray:
+        """Each row's sort key: the Hamming distance, or minus the cosine."""
+        return self.scores if self.entries.precision == "bit" else -self.scores
+
+    @cached_property
+    def _ranked(self) -> np.ndarray:
+        """Every row but the excluded one, best first; ties by row, so by id."""
+        order = np.argsort(self._keys, kind="stable")
+        return order if self.exclude is None else order[order != self.exclude]
 
     def __len__(self) -> int:
-        return len(self.order)
+        return len(self.positions)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return Ranking(self.entries, self.order[i], self.scores[i])
-        return self.entries.ids[self.order[i]], self.scores[i].item()
+            part = copy.copy(self)  # shares the sorted order once it exists
+            part.positions = self.positions[i]
+            return part
+        row = self._ranked[self.positions[i]]
+        return self.entries.ids[row], self.scores[row].item()
 
     def __iter__(self):
-        return zip(self.entries.ids[self.order].tolist(), self.scores.tolist())
+        p = self.positions
+        order = self._ranked[np.arange(p.start, p.stop, p.step)]
+        return zip(self.entries.ids[order].tolist(), self.scores[order].tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
@@ -89,11 +130,47 @@ class Ranking(Sequence):
 
     def average_precision(self, relevant) -> float:
         """average_precision of this ranking's ids, from the ranks of the
-        relevant rows alone."""
+        relevant rows alone, counted without sorting the index."""
         relevant = set(relevant)
-        rows = [row for row in map(self.entries.row, relevant) if row is not None]
-        ranks = np.flatnonzero(np.isin(self.order, rows)) + 1
-        return _mean_precision(ranks.tolist(), len(relevant))
+        rows = [row for row in map(self.entries.row, relevant)
+                if row is not None and row != self.exclude]
+        if self.exclude is not None:
+            rows.append(self.exclude)
+        ranks = _stable_ranks(self._keys, np.array(rows, dtype=np.intp))
+        if self.exclude is not None:
+            ranks, excluded = ranks[:-1], ranks[-1]
+            ranks -= ranks > excluded
+        p = self.positions
+        hits = sorted(p.index(rank) + 1 for rank in ranks.tolist() if rank in p)
+        return _mean_precision(hits, len(relevant))
+
+
+def _stable_ranks(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Where each of rows lands in np.argsort(keys, kind="stable"), found
+    without that sort: the number of smaller keys (NaN sorts last), counted
+    in np.sort(keys), plus the number of equal keys at lower rows."""
+    if keys.dtype.kind == "u":
+        # Hamming distances tie often; key * N + row orders the rows as the
+        # stable sort does, and is at most the index's bit count
+        packed = keys.astype(np.int64) * len(keys) + np.arange(len(keys))
+        return np.searchsorted(np.sort(packed), packed[rows])
+    ordered = np.sort(keys)
+    found = keys[rows]
+    ranks = np.searchsorted(ordered, found)
+    tied = np.searchsorted(ordered, found, "right") - ranks > 1
+    if tied.any():
+        # stable-sort only the rows that share a key with a tied row
+        values = found[tied]
+        shared = np.isin(keys, values, kind="sort")
+        if np.isnan(values).any():
+            shared |= np.isnan(keys)
+        shared = np.flatnonzero(shared)
+        by_key = np.argsort(keys[shared], kind="stable")
+        place = np.empty_like(by_key)
+        place[by_key] = np.arange(len(by_key))
+        ahead = np.searchsorted(keys[shared[by_key]], values)
+        ranks[tied] += place[np.searchsorted(shared, rows[tied])] - ahead
+    return ranks
 
 
 def _norms(entries: DescriptorSet) -> np.ndarray:
@@ -127,17 +204,11 @@ def search(index: RetrievalIndex, query: Descriptor, k: int | None = None,
     q = DescriptorSet.stack({"query": query})
     if entries.precision == "bit":
         scores = np.bitwise_count(entries.rows ^ q.rows[0]).sum(axis=1)
-        order = np.argsort(scores, kind="stable")
     else:
         dots = np.einsum("ij,j->i", entries.rows, q.rows[0], dtype=np.float64)
         denom = index.norms * _norms(q)[0]
         scores = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0.0)
-        order = np.argsort(-scores, kind="stable")
-    row = entries.row(exclude)
-    if row is not None:
-        order = order[order != row]
-    order = order[:k]
-    return Ranking(entries, order, scores[order])
+    return Ranking(entries, scores, entries.row(exclude), k)
 
 
 def _mean_precision(ranks, n_relevant: int) -> float:
@@ -258,9 +329,12 @@ def read_ground_truth(path) -> dict[str, list[str]]:
             if not line:
                 continue
             qid, sep, rest = line.partition(":")
-            if not sep or not qid.strip():
+            qid = qid.strip()
+            if not sep or not qid:
                 raise ValueError(f"{path}:{line_no}: expected 'query_id: id ...'")
-            out[qid.strip()] = rest.split()
+            if qid in out:
+                raise ValueError(f"{path}:{line_no}: duplicate query {qid!r}")
+            out[qid] = rest.split()
     if not out:
         raise ValueError(f"{path}: no ground-truth lines")
     return out

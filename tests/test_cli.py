@@ -312,6 +312,11 @@ def test_extract_index_search_eval_report_flow(ws, capsys):
     rows = eval_csv.read_text().splitlines()
     assert rows[0] == "pipeline,precision,map"
     assert rows[1].startswith("nip,real,")
+    repeated = root / "repeated_gt.txt"
+    repeated.write_text(ws["gt"].read_text() + "1000: 1001\n")
+    assert dispatch(["eval", "--index", str(index), "--ground-truth", str(repeated),
+                     "--pipeline", "nip"]) == EXIT_DATA
+    assert f"{repeated}:4: duplicate query '1000'" in capsys.readouterr().err
 
     report = root / "report.txt"
     assert dispatch(["report", "--eval", str(eval_csv),

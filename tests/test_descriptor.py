@@ -1,12 +1,13 @@
 """Pooled descriptors: region grids, the pooling chain, precisions, file IO."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import qnip
-from qnip.binfile import CorruptionError, EncodeError, Reader
+from qnip.binfile import CorruptionError, EncodeError, Reader, TruncationError
 from qnip.codec import build_compressed_model
 from qnip.descriptor import (
     FULL_FRAME,
@@ -329,6 +330,22 @@ def test_load_descriptors_names_a_non_utf8_id(tmp_path):
     path.write_bytes(_qds(2, [(b"\xff", 1, bytes([1, 2]), 1.0)]))
     with pytest.raises(CorruptionError, match=f"^{path}: .* at byte 10 is not UTF-8$"):
         load_descriptors(path)
+
+
+def test_load_descriptors_walks_no_further_than_the_file(tmp_path):
+    # a forged record count must not size any allocation
+    path = tmp_path / "forged.qds"
+    blob = _qds(2, [("a", 1, bytes([1, 2]), 1.0)])
+    path.write_bytes(blob[:6] + struct.pack("<I", 2**32 - 1) + blob[10:])
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncationError,
+                           match=f"truncated at byte {len(blob)} reading id length$"):
+            load_descriptors(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_load_descriptors_errors(tmp_path):

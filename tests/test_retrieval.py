@@ -329,6 +329,42 @@ def test_evaluate_ap_equals_average_precision_of_the_full_list(precision):
         evaluate(index, {"q": []})
 
 
+@pytest.mark.filterwarnings("ignore:(overflow|invalid) value:RuntimeWarning")
+@pytest.mark.parametrize("precision", ["real", "byte", "bit", "overflowing real"])
+def test_average_precision_by_count_equals_the_full_list(precision):
+    # Ranking.average_precision counts ranks without sorting the index; it
+    # must equal the AP of the fully iterated ranking, exactly
+    rng = np.random.default_rng([49, len(precision)])
+    entries, groups, zero_ids = _fuzzed_entries(rng, precision.split()[-1], 203, 13)
+    names = sorted(entries)
+    if precision == "overflowing real":
+        # squares near 1e200 overflow, so huge rows score NaN against a huge query
+        for name in {*groups[1], *rng.choice(names, 20, replace=False)}:
+            entries[name] = Descriptor("real", entries[name].values * 1e200)
+        scores = [s for _, s in search(build_index(entries), entries[groups[1][0]])]
+        assert 3 <= sum(s != s for s in scores) < len(scores)
+    index = build_index(entries)
+    # relevant lists with exact ties, zero rows, the query itself and
+    # missing or repeated ids
+    ground_truth = {group[0]: [*group[1:], group[0], *zero_ids, "missing", group[-1]]
+                    for group in groups}
+    for qid in rng.choice(names, 6, replace=False):
+        ground_truth[qid] = [*rng.choice(names, int(rng.integers(1, 40))), qid]
+    mean_ap, per_query = evaluate(index, ground_truth)
+    for qid, relevant in ground_truth.items():
+        full = search(index, entries[qid], exclude=qid)
+        assert per_query[qid] == average_precision([n for n, _ in full], relevant), qid
+        for k, exclude in ((1, None), (7, qid), (None, None), (500, "missing")):
+            ranked = search(index, entries[qid], k=k, exclude=exclude)
+            ap = ranked.average_precision(relevant)
+            assert "_ranked" not in vars(ranked)  # counted, not sorted
+            assert ap == average_precision([n for n, _ in ranked], relevant), (qid, k)
+        for part in (full[3:90:2], full[::-1], full[150:], full[5:5]):
+            assert part.average_precision(relevant) == average_precision(
+                [n for n, _ in part], relevant), qid
+    assert mean_ap == sum(per_query.values()) / len(per_query)
+
+
 def test_build_index_rejects_non_finite_and_negative_scales():
     with pytest.raises(ValueError, match="non-finite"):
         build_index({"a": Descriptor("real", np.array([1.0, np.nan])),
@@ -459,6 +495,13 @@ def test_read_ground_truth_rejects_malformed(tmp_path):
     path = tmp_path / "gt.txt"
     path.write_text("not a mapping\n")
     with pytest.raises(ValueError):
+        read_ground_truth(path)
+
+
+def test_read_ground_truth_refuses_a_repeated_query(tmp_path):
+    path = tmp_path / "gt.txt"
+    path.write_text("1000: 1001 1002\n\n2000: 2001\n 1000 : 1003\n")
+    with pytest.raises(ValueError, match=f"^{path}:4: duplicate query '1000'$"):
         read_ground_truth(path)
 
 
