@@ -7,24 +7,22 @@ dequantized  — runs the identical float path on the alpha_hat * mask
                float mode on explicitly dequantized weights.
 integer      — emulates a fixed-point datapath: activations live on an
                8-bit unsigned grid x ~ q * 2**(p-8) with a per-layer
-               power-of-two exponent p from a calibration pass, conv MACs
-               are exact integer sums (each in-channel's masked partial
-               sum fits 32 bits, the scalar-weighted total stays below
-               2**39) computed as a float64 GEMM on the dequantized
-               weights, and bias add + requantization are exact int64
-               shifts with half-up rounding.
+               power-of-two exponent p from a calibration pass, held as
+               float64 codes. The same float64 conv on the dequantized
+               weights computes exact integer MACs (the accumulator stays
+               below 2**39), and requantizing by a power of two with
+               half-up rounding is exact in float64 too.
 
 Every mode, and calibration, runs each image through one layer walk
 (_walk) over a model that _prepare builds once per call, for a whole
 stack or image set: an input map (identity, or 8-bit quantization at the
-input exponent), one conv + ReLU step per conv layer (float conv on float
-or dequantized weights, or the exact float64 im2col GEMM on the
-dequantized weights with shifts and shifted bias precomputed), the dense
-head, the pool step (ops.maxpool2x2), and the value of one activation
-unit after the input and after each conv (1.0 in the float modes,
-2**(p-8) in integer mode), applied at the tap and at flatten. Calibration
-walks the dequantized preparation; training walks its own, with a conv
-step that keeps im2col's cols and its own pool step.
+input exponent), one conv step per conv layer (_conv: ops.conv2d, then
+an in-place epilogue, ReLU in the float modes and requantization in
+integer mode), the dense head, the pool step (ops.maxpool2x2), and the
+value of one activation unit after the input and after each conv (1.0
+in the float modes, 2**(p-8) in integer mode), applied at the tap and at
+flatten. Calibration walks the dequantized preparation; training walks
+its own, with a conv step that keeps im2col's cols and its own pool step.
 
 Dense layers get ReLU between them but not after the last one (raw
 logits). Integer mode converts the feature map back to floats at the
@@ -43,7 +41,7 @@ from .codec import CompressedModel
 from .codec import dequantized_float_model  # noqa: F401 (perfbench's tracer test reads it here)
 from .network import (ConvSpec, DenseSpec, FlattenSpec, FloatModel, NetworkDefinition,
                       PoolSpec, check_model_matches, tap_shape)
-from .quantize import QuantizedLayer, compute_layer_shift, mask_levels, round_half_away
+from .quantize import SHIFT_MAX, SHIFT_MIN, compute_layer_shift, mask_levels, round_half_away
 
 MODES = ("float", "dequantized", "integer")
 
@@ -84,39 +82,36 @@ class _Prepared(NamedTuple):
 
 
 def _quantize_activation(x: np.ndarray, p: int) -> np.ndarray:
-    q = round_half_away(np.maximum(x, 0.0) * 2.0 ** (8 - p))
-    return np.minimum(q, ACT_MAX).astype(np.int64)
+    """Float64 codes 0..255 of x on the 2**(p-8) grid."""
+    return np.minimum(round_half_away(np.maximum(x, 0.0) * 2.0 ** (8 - p)), ACT_MAX)
 
 
-def _float_conv(spec: ConvSpec, w: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    out = ops.conv2d(x, w, b, spec.stride, spec.padding)
-    return np.maximum(out, 0.0, out=out)  # ReLU in place on the fresh conv output
+def _relu(out: np.ndarray) -> np.ndarray:
+    return np.maximum(out, 0.0, out=out)  # in place on the fresh conv output
 
 
-def _integer_conv(spec: ConvSpec, layer: QuantizedLayer, w: np.ndarray, p_in: int, p_out: int):
-    """Conv + ReLU from the p_in activation grid to the p_out grid, in exact
-    integers, with the MAC on the layer's dequantized weights w."""
-    # w = a*M * 2**(e-8), so the float64 GEMM of w and the activation codes,
-    # times 2**(8-e), is the integer sum of a*M * code. Every step is exact:
-    # each weight is an integer below 2**12 times 2**(e-8) >= 2**-16 (e >= -8,
-    # so nothing is subnormal), and every product and partial sum, in any
-    # order, is an integer below 2**39 (see check_accumulator_bounds) times
-    # that same power of two; scaling by 2**(8-e) is exact too.
-    w = w.reshape(layer.shape.out_channels, -1)
-    unit = 2.0 ** (8 - layer.shift)
-    e1 = layer.shift + p_in - p_out - 8    # accumulator -> p_out grid
-    e2 = layer.shift - p_out               # bias -> p_out grid
-    s = max(0, -e1, -e2)
-    bias = layer.biases.astype(np.int64)[:, None] << (e2 + s)
+def _requantize(scale: float, out: np.ndarray) -> np.ndarray:
+    """Codes on the input grid -> codes on the output grid, in place: scale by
+    2**(p_in - p_out), round half up, then ReLU and clip to 0..255."""
+    # Exact in float64 while every shift and exponent lies in [SHIFT_MIN,
+    # SHIFT_MAX] (checked in _prepare). w @ codes is A * 2**(shift-8) for an
+    # integer |A| < 2**39 (check_accumulator_bounds): each product and partial
+    # sum, in any order, is an integer below that times the same power of two,
+    # and 2**(shift-8) >= 2**-16 is never subnormal. The bias b * 2**(8-p_in)
+    # is B * 2**(8-p_in) on that grid, with |B| < 2**11 and 8 - p_in <= 16, so
+    # the conv output is an integer below 2**40 times 2**(shift-8), exactly.
+    # The scale is a power of two, so it is exact too. +0.5 and floor are
+    # exact below 2**52; a larger value clips to 0 or 255 either way, because
+    # rounding is monotone.
+    out *= scale
+    out += 0.5
+    np.floor(out, out=out)
+    return np.clip(out, 0, ACT_MAX, out=out)
 
-    def step(xq: np.ndarray) -> np.ndarray:
-        cols, (h, width) = ops.im2col(xq, spec.stride, spec.padding)
-        acc = w @ cols.astype(np.float64)
-        acc *= unit
-        v = np.maximum((acc.astype(np.int64) << (e1 + s)) + bias, 0)
-        # exact division by 2**s, rounding half up (s = 0 adds 0 and shifts by 0)
-        return np.minimum((v + ((1 << s) >> 1)) >> s, ACT_MAX).reshape(-1, h, width)
-    return step
+
+def _conv(spec: ConvSpec, w: np.ndarray, b: np.ndarray,
+          epilogue: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    return epilogue(ops.conv2d(x, w, b, spec.stride, spec.padding))
 
 
 def _prepare(net: NetworkDefinition, weights, mode: str,
@@ -127,14 +122,17 @@ def _prepare(net: NetworkDefinition, weights, mode: str,
             raise ValueError(
                 f"need {len(weights.layers) + 1} activation exponents "
                 f"(input plus one per conv), got {len(act_exponents)}")
+        p = [int(e) for e in act_exponents]
+        if not all(SHIFT_MIN <= e <= SHIFT_MAX for e in p):
+            raise ValueError(f"activation exponents {p} must lie in [{SHIFT_MIN}, {SHIFT_MAX}]")
     model = weights if mode == "float" else weights.dequantized
     if mode != "integer":
-        convs = [partial(_float_conv, s, w, b) for s, (w, b) in zip(net.conv_specs, model.conv)]
+        convs = [partial(_conv, s, w, b, _relu) for s, (w, b) in zip(net.conv_specs, model.conv)]
         return _Prepared(lambda x: x, convs, [1.0] * (len(convs) + 1), model.dense,
                          ops.maxpool2x2)
-    p = [int(e) for e in act_exponents]
-    convs = [_integer_conv(spec, layer, w, p_in, p_out) for spec, layer, (w, _), p_in, p_out
-             in zip(net.conv_specs, weights.layers, model.conv, p, p[1:])]
+    convs = [partial(_conv, spec, w, b * 2.0 ** (8 - p_in),  # bias in input-code units
+                     partial(_requantize, 2.0 ** (p_in - p_out)))
+             for spec, (w, b), p_in, p_out in zip(net.conv_specs, model.conv, p, p[1:])]
     return _Prepared(lambda x: _quantize_activation(x, p[0]), convs,
                      [2.0 ** (e - 8) for e in p], model.dense, ops.maxpool2x2)
 

@@ -2,6 +2,7 @@
 
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -378,7 +379,7 @@ def test_load_descriptors_errors(tmp_path):
 
 def _oracle_load(path) -> dict:
     """QDS1 parsed one record at a time into a dict of Descriptors."""
-    rd = Reader(open(path, "rb").read(), b"QDS1", "a descriptor file", path)
+    rd = Reader(Path(path).read_bytes(), b"QDS1", "a descriptor file", path)
     out = {}
     dim, count = rd.unpack("<HI", "header")
     for _ in range(count):

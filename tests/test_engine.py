@@ -184,6 +184,30 @@ def test_integer_mode_is_exact_at_the_shift_limits(m, shift):
     expected = codes[-1].astype(np.float64) * 2.0 ** (exponents[-1] - 8)
     tap, _ = forward(net, compressed, image, mode="integer", act_exponents=exponents)
     assert tap.tobytes() == expected.tobytes()
+    # activation exponents at both limits, in mixed order (requantizing by up
+    # to 2**15 either way), on the same biases and on biases of mixed sign
+    signs = np.array([-1, 1, -1], np.int16)
+    mixed = CompressedModel(net, [dataclasses.replace(layer, biases=layer.biases * signs)
+                                  for layer in layers])
+    assert all((layer.biases < 0).any() for layer in mixed.layers)
+    for weights in (compressed, mixed):
+        for exponents in ([SHIFT_MIN, SHIFT_MAX, SHIFT_MIN], [SHIFT_MAX, SHIFT_MIN, SHIFT_MAX],
+                          [SHIFT_MAX, SHIFT_MAX, SHIFT_MIN], [SHIFT_MIN, SHIFT_MIN, SHIFT_MAX]):
+            codes = integer_codes_loops(net, weights, image, exponents)
+            expected = codes[-1].astype(np.float64) * 2.0 ** (exponents[-1] - 8)
+            tap, _ = forward(net, weights, image, mode="integer", act_exponents=exponents)
+            assert tap.tobytes() == expected.tobytes(), exponents
+
+
+@pytest.mark.parametrize("exponents", [[SHIFT_MIN - 1, 0, 0], [0, SHIFT_MAX + 1, 0],
+                                       [0, 0, 40]])
+def test_integer_mode_rejects_activation_exponents_outside_the_shift_range(exponents):
+    # float64 requantization is exact only for exponents in [SHIFT_MIN, SHIFT_MAX]
+    net, model = _net_and_model(seed=41, text="input 2 6 6\nconv 3 pad=1\nconv 3 tap\n")
+    compressed = build_compressed_model(net, model, [2, 2])
+    image = _images(1, shape=(2, 6, 6), seed=241)[0]
+    with pytest.raises(ValueError, match="activation exponents"):
+        forward(net, compressed, image, "integer", exponents)
 
 
 def test_integer_mode_is_deterministic():
@@ -448,6 +472,25 @@ def test_accuracy_keeps_no_tap_array(mode, expected):
     assert peak < tap_bytes
     assert peak < stack_bytes  # nor a stacked copy of the dataset
     assert result == expected  # as when accuracy kept every image's tap or stacked its images
+
+
+def test_integer_forward_peaks_no_higher_than_dequantized():
+    # integer mode runs the dequantized conv on float64 codes: no int64 copy
+    # of the codes, of im2col's columns or of the accumulator
+    net, model = _net_and_model(seed=70, text="input 16 32 32\nconv 64 pad=1\nconv 64 pad=1 tap\n")
+    compressed = build_compressed_model(net, model, [2, 2])
+    image = _images(1, shape=(16, 32, 32), seed=170)[0]
+    # calibrating also builds the dequantized weights, outside both peaks
+    exponents = calibrate_activation_exponents(net, compressed, [image])
+
+    def peak(*args):
+        tracemalloc.start()
+        try:
+            forward(net, compressed, image, *args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak("integer", exponents) <= 1.05 * peak("dequantized")
 
 
 # a CompressedModel is immutable and owns its dequantized weights: built on

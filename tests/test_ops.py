@@ -139,8 +139,8 @@ def im2col_loops(x, stride, padding):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.int64])
 def test_im2col_matches_loop_gather_exactly(dtype):
-    # integer mode passes int64 activations; float inputs carry -0.0, which
-    # must come through the zero frame with its sign
+    # any dtype comes through unchanged (integer mode passes float64 codes);
+    # float inputs carry -0.0, which must come through the zero frame with its sign
     rng = np.random.default_rng(6)
     for padding in (0, 1, 2):
         for stride in (1, 2):
@@ -168,8 +168,8 @@ def test_maxpool_matches_loop_reference():
         c = int(rng.integers(1, 5))
         h = 2 * int(rng.integers(1, 6))
         w = 2 * int(rng.integers(1, 6))
-        # float64 and int64 maps (integer mode pools codes), with and
-        # without tied windows
+        # float64 maps (integer mode pools float64 codes) and int64 maps,
+        # with and without tied windows
         for x in (rng.normal(size=(c, h, w)),
                   rng.integers(0, 3, size=(c, h, w)).astype(np.float64),
                   rng.integers(0, 256, size=(c, h, w)),
