@@ -38,7 +38,11 @@ per record a u16-length-prefixed id, a precision tag byte (0/1/2; one tag
 per file), the payload (float32 LE / one byte per entry / bit-packed
 MSB-first) and one float32 of metadata (the byte scale or bit threshold;
 0 for real). load_descriptors and save_descriptors follow the read and
-write contracts of binfile.
+write contracts of binfile. load_descriptors checks in one strided probe
+which records from the first on share its id length, walks the rest one
+at a time for their starts, then gathers the tags, the ids and the
+payloads, each in one pass; when every record has one size, the payloads
+are a strided view of the file and only their conversion copies them.
 """
 from __future__ import annotations
 
@@ -53,7 +57,6 @@ import numpy as np
 from . import engine, ops
 from .binfile import CorruptionError, EncodeError, Reader, pack
 from .network import NetworkDefinition
-from .quantize import round_half_away
 
 PRECISIONS = ("real", "byte", "bit")
 DESC_MAGIC = b"QDS1"
@@ -208,13 +211,15 @@ def quantize_descriptor(desc: Descriptor) -> Descriptor:
     if desc.precision != "real":
         raise ValueError(f"can only quantize real descriptors, got {desc.precision!r}")
     values = np.asarray(desc.values, dtype=np.float64)
-    if values.min(initial=0.0) < 0.0:
+    if np.minimum.reduce(values, initial=0.0) < 0.0:
         raise ValueError("descriptor entries must be non-negative")
-    scale = float(values.max(initial=0.0))
+    scale = float(np.maximum.reduce(values, initial=0.0))
     if scale == 0.0:
         return Descriptor("byte", np.zeros(values.shape[0], np.uint8), scale=0.0)
-    q = round_half_away(values * (255.0 / scale)).astype(np.uint8)
-    return Descriptor("byte", q, scale=scale)
+    # round_half_away, on entries known to be >= 0
+    q = values * (255.0 / scale)
+    q += 0.5
+    return Descriptor("byte", np.floor(q, out=q).astype(np.uint8), scale=scale)
 
 
 def dequantize_descriptor(desc: Descriptor) -> np.ndarray:
@@ -229,7 +234,7 @@ def binarize_descriptor(desc: Descriptor) -> Descriptor:
     if desc.precision != "real":
         raise ValueError(f"can only binarize real descriptors, got {desc.precision!r}")
     values = np.asarray(desc.values, dtype=np.float64)
-    threshold = float(values.mean())
+    threshold = float(np.add.reduce(values) / values.size)  # ndarray.mean's arithmetic
     return Descriptor("bit", (values > threshold).astype(np.uint8), threshold=threshold)
 
 
@@ -288,12 +293,12 @@ class DescriptorSet(Mapping[str, Descriptor]):
         if rows.shape != (len(ids), _row_width(precision, dim)):
             raise ValueError(f"{len(ids)} {precision} rows of length {dim} "
                              f"cannot have shape {rows.shape}")
-        order = np.argsort(ids, kind="stable")
-        if not np.array_equal(order, np.arange(len(ids))):
+        if not (ids[1:] > ids[:-1]).all():  # not already sorted and unique
+            order = np.argsort(ids, kind="stable")
             ids, rows, meta = ids[order], rows[order], meta[order]
-        repeated = ids[1:] == ids[:-1]
-        if repeated.any():
-            raise ValueError(f"duplicate id {ids[int(np.argmax(repeated))]!r}")
+            repeated = ids[1:] == ids[:-1]
+            if repeated.any():
+                raise ValueError(f"duplicate id {ids[int(np.argmax(repeated))]!r}")
         if precision == "real":
             finite = np.isfinite(rows).all(axis=1)
             if not finite.all():
@@ -404,7 +409,8 @@ def _truncated(rd: Reader, pos: int, payload: int) -> None:
 
 
 def _ids(path, data: bytes, starts, tags_at) -> list[str]:
-    """The UTF-8 ids of the records at starts, each ending at its tag."""
+    """The UTF-8 ids of the records at starts, each ending at its tag,
+    decoded one at a time, so that the first bad one is named."""
     names = []
     for start, tag_at in zip(starts, tags_at):
         try:
@@ -415,12 +421,53 @@ def _ids(path, data: bytes, starts, tags_at) -> list[str]:
     return names
 
 
+def _decoded_ids(path, data: bytes, starts: np.ndarray, tags_at: np.ndarray) -> list[str]:
+    """_ids in one gather and one decode, for ids that hold no NUL (else
+    _ids). Each id is gathered with the tag byte after it, set to NUL, so
+    that the decoded text splits into the ids at its NULs. A NUL neither
+    ends nor continues a character, so the text is UTF-8 exactly when
+    every id is; when it is not, _ids names the first bad id."""
+    lengths = tags_at - starts - 1  # each id and its tag
+    ends = np.cumsum(lengths)
+    stream = np.frombuffer(data, np.uint8)[np.arange(ends[-1])
+                                           + np.repeat(starts + 2 - (ends - lengths), lengths)]
+    stream[ends - 1] = 0
+    if np.count_nonzero(stream) == ends[-1] - len(ends):
+        try:
+            return stream.tobytes().decode().split("\0")[:-1]
+        except UnicodeDecodeError:
+            pass
+    return _ids(path, data, starts.tolist(), tags_at.tolist())
+
+
+def _record_starts(data: bytes, pos: int, count: int, fixed: int) -> tuple[np.ndarray, int]:
+    """The starts of up to count records from pos on, each fixed bytes plus
+    its id length, and where the last one ends; the walk stops at the end
+    of the data. One strided view of the length fields at the first
+    record's size takes every record up to the first of another size; the
+    rest are walked one at a time. pos + 2 must not pass the end."""
+    end = len(data)
+    size = fixed + data[pos] + (data[pos + 1] << 8)
+    k = min(count, (end - 2 - pos) // size + 1)
+    same = np.ndarray((k,), "<u2", data, pos, (size,)) == size - fixed
+    m = k if same.all() else int(same.argmin())
+    head, pos, walked = np.arange(pos, pos + m * size, size), pos + m * size, []
+    for _ in range(count - m):
+        if pos + 2 > end:
+            break
+        walked.append(pos)
+        pos += fixed + data[pos] + (data[pos + 1] << 8)
+    return np.concatenate([head, np.array(walked, np.int64)]), pos
+
+
 def load_descriptors(path) -> DescriptorSet:
-    """Walk the records once for their starts, check every tag in one
-    comparison, then gather every payload and metadata field in one fancy
-    index over the file's record-sized windows. The walk stops at the end
-    of the file, so a forged record count allocates nothing. The bit
-    padding bits are cleared; an out-of-order file loads sorted."""
+    """Walk the records for their starts (_record_starts), check every tag
+    in one comparison, read every id in one gather and one decode, then
+    take every payload and metadata field from the file's record-sized
+    windows: one slice when all records have one size, else one fancy
+    index. The walk stops at the end of the file, so a forged record count
+    allocates nothing. The bit padding bits are cleared; an out-of-order
+    file loads sorted."""
     rd = Reader(Path(path).read_bytes(), DESC_MAGIC, "a descriptor file", path)
     dim, count = rd.unpack("<HI", "header")
     data, end = rd.data, len(rd.data)
@@ -436,19 +483,16 @@ def load_descriptors(path) -> DescriptorSet:
         raise CorruptionError(f"{path}: unknown precision tag {first}")
     precision = _TAG_NAMES[first]
     record = _record_dtype(precision, dim)
-    starts, pos = [], rd.pos
-    for _ in range(count):
-        if pos + 2 > end:
-            break
-        starts.append(pos)
-        pos += 3 + record.itemsize + data[pos] + (data[pos + 1] << 8)
+    starts, pos = _record_starts(data, rd.pos, count, 3 + record.itemsize)
+    ends = np.append(starts[1:], pos)
     # a record's tag sits just before its payload and metadata
-    tags_at = np.array(starts[1:] + [pos]) - (1 + record.itemsize)
+    tags_at = ends - (1 + record.itemsize)
     buf = np.frombuffer(data, np.uint8)
     tags = buf[tags_at[tags_at < end]]
     mixed = np.flatnonzero(tags != first)
     # ids up to the first bad tag, so that a bad id ahead of it is named first
-    names = _ids(path, data, starts, tags_at[:mixed[0] + 1 if mixed.size else len(tags)].tolist())
+    named = mixed[0] + 1 if mixed.size else len(tags)
+    names = _decoded_ids(path, data, starts[:named], tags_at[:named])
     if mixed.size:
         tag = int(tags[mixed[0]])
         if tag not in _TAG_NAMES:
@@ -456,11 +500,15 @@ def load_descriptors(path) -> DescriptorSet:
         raise CorruptionError(f"{path}: record {names[-1]!r} has precision tag "
                               f"{tag}, the first record {first}")
     if pos > end or len(starts) < count:
-        _truncated(rd, starts[-1] if pos > end else pos, record.itemsize - 4)
+        _truncated(rd, int(starts[-1]) if pos > end else pos, record.itemsize - 4)
     rd.pos = pos
     rd.finish()
     windows = np.lib.stride_tricks.sliding_window_view(buf, record.itemsize)
-    stored = windows[tags_at + 1].view(record)[:, 0]
+    # records of one size lie at one stride, where a slice copies nothing
+    sizes = ends - starts
+    uniform = (sizes == sizes[0]).all()
+    at = slice(int(tags_at[0]) + 1, None, int(sizes[0])) if uniform else tags_at + 1
+    stored = windows[at][:len(starts)].view(record)[:, 0]
     rows = stored["payload"].astype(np.float64 if precision == "real" else np.uint8)
     if precision == "bit" and dim % 8:
         rows[:, -1] &= 0xFF << (8 - dim % 8) & 0xFF

@@ -4,12 +4,14 @@ Real and byte descriptors are ranked by cosine similarity, bit
 descriptors by Hamming distance. build_index scores a DescriptorSet's
 rows as they are: float64 rows for real, the stored uint8 codes for byte
 (cosine ignores a positive per-row scale; a row with scale 0 dequantizes
-to zeros and gets norm 0), and the packed bits for bit, whose Hamming
-distance is a popcount of XOR. Its only new array is each real or byte
-row's L2 norm. search then scores every row in one vectorised pass and
-returns a Ranking: a sequence of (id, score) pairs that holds every
-row's score, the excluded row and k. Its order is one stable argsort of
-the scores, run when the ranking is first iterated, indexed or sliced.
+to zeros and gets norm 0), and for bit the packed bits, zero-padded once
+to whole uint64 words, whose Hamming distance is a popcount of XOR summed
+over the words. Its only new arrays are each real or byte row's L2 norm
+and the bit rows' words. search then scores every row in one vectorised
+pass and returns a Ranking: a sequence of (id, score) pairs that holds
+every row's score, the excluded row and k. Its order is one stable
+argsort of the scores, run when the ranking is first iterated, indexed
+or sliced.
 
 evaluate needs only the ranks of each query's relevant rows, so
 Ranking.average_precision counts them instead of sorting the index. For
@@ -69,6 +71,7 @@ IMAGE_MAGIC = b"IMG1"
 class RetrievalIndex:
     entries: DescriptorSet
     norms: np.ndarray | None = field(repr=False)  # (N,) float64 scoring norms; None for bit
+    words: np.ndarray | None = field(repr=False)  # (N, W) uint64 bit rows; None for real, byte
 
     @property
     def precision(self) -> str:
@@ -183,10 +186,20 @@ def _norms(entries: DescriptorSet) -> np.ndarray:
     return norms
 
 
+def _words(rows: np.ndarray) -> np.ndarray:
+    """Packed bit rows zero-padded to whole uint64 words; the zero bits
+    add nothing to a popcount of XOR."""
+    words = np.zeros((len(rows), -(-rows.shape[1] // 8)), np.uint64)
+    words.view(np.uint8)[:, :rows.shape[1]] = rows
+    return words
+
+
 def build_index(descriptors: Mapping[str, Descriptor]) -> RetrievalIndex:
     """Index a DescriptorSet as it is, or a dict of descriptors stacked once."""
     entries = DescriptorSet.stack(descriptors)
-    return RetrievalIndex(entries, None if entries.precision == "bit" else _norms(entries))
+    if entries.precision == "bit":
+        return RetrievalIndex(entries, None, _words(entries.rows))
+    return RetrievalIndex(entries, _norms(entries), None)
 
 
 def search(index: RetrievalIndex, query: Descriptor, k: int | None = None,
@@ -203,7 +216,7 @@ def search(index: RetrievalIndex, query: Descriptor, k: int | None = None,
         raise ValueError(f"k must be positive, got {k}")
     q = DescriptorSet.stack({"query": query})
     if entries.precision == "bit":
-        scores = np.bitwise_count(entries.rows ^ q.rows[0]).sum(axis=1)
+        scores = np.bitwise_count(index.words ^ _words(q.rows)[0]).sum(axis=1)
     else:
         dots = np.einsum("ij,j->i", entries.rows, q.rows[0], dtype=np.float64)
         denom = index.norms * _norms(q)[0]

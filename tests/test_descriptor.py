@@ -30,6 +30,7 @@ from qnip.descriptor import (
 from qnip.engine import calibrate_activation_exponents
 from qnip.network import init_float_model, load_network, parse_network
 from qnip.ops import ShapeError, crop, resize_bilinear, rotate90
+from qnip.quantize import round_half_away
 
 
 def test_roi_grid_counts():
@@ -262,6 +263,35 @@ def test_binarize_descriptor_hand_values():
     assert np.array_equal(b.values, [0, 0, 1, 1])
 
 
+def _old_quantize(values):
+    """quantize_descriptor's arithmetic as round_half_away over the scaled entries."""
+    scale = float(values.max(initial=0.0))
+    if scale == 0.0:
+        return np.zeros(values.shape[0], np.uint8), 0.0
+    return round_half_away(values * (255.0 / scale)).astype(np.uint8), scale
+
+
+def _old_binarize(values):
+    threshold = float(values.mean())
+    return (values > threshold).astype(np.uint8), threshold
+
+
+def test_converters_keep_their_reference_bits():
+    rows = np.random.default_rng(51).gamma(0.6, size=(10_000, 96))
+    rows[1] = 0.0
+    rows[2, ::3] = -0.0
+    rows[3] = np.array([1.0, 0.5, 0.25, 3.0]).repeat(24)  # its max maps exactly to 255
+    rows[4, :] = -0.0
+    for values in rows:
+        for convert, reference in ((quantize_descriptor, _old_quantize),
+                                   (binarize_descriptor, _old_binarize)):
+            got = convert(Descriptor("real", values))
+            codes, meta = reference(values)
+            assert got.values.dtype == np.uint8 and got.values.tobytes() == codes.tobytes()
+            assert repr(got.scale if got.precision == "byte" else got.threshold) == repr(meta)
+    assert quantize_descriptor(Descriptor("real", rows[3])).values.max() == 255
+
+
 def test_convert_descriptor_paths():
     desc = Descriptor("real", np.array([0.1, 0.2, 0.7]))
     assert convert_descriptor(desc, "real") is desc
@@ -401,6 +431,22 @@ def _oracle_load(path) -> dict:
     return out
 
 
+def _reference_save(descriptors) -> bytes:
+    """QDS1 bytes of a dict of descriptors, written one record at a time."""
+    precision, dim = {(d.precision, d.dim) for d in descriptors.values()}.pop()
+    records = []
+    for name in sorted(descriptors):
+        desc = descriptors[name]
+        if precision == "real":
+            payload, meta = desc.values.astype("<f4").tobytes(), 0.0
+        elif precision == "byte":
+            payload, meta = desc.values.tobytes(), desc.scale
+        else:
+            payload, meta = np.packbits(desc.values).tobytes(), desc.threshold
+        records.append((name, {"real": 0, "byte": 1, "bit": 2}[precision], payload, meta + 0.0))
+    return _qds(dim, records)
+
+
 def _qds(dim, records) -> bytes:
     """A hand-built QDS1 file: records are (id, tag, payload, metadata);
     an id given as bytes is stored as it is."""
@@ -412,15 +458,17 @@ def _qds(dim, records) -> bytes:
     return blob
 
 
-def _mixed_ids(rng, n):
-    """n distinct ids of 1 to 40 UTF-8 bytes, some of them non-ASCII."""
-    alphabet = list("abcxyz019_-") + ["é", "ß", "中", "😀"]
+def _mixed_ids(rng, n, nul=False):
+    """n distinct ids of 1 to 40 UTF-8 bytes, some of them non-ASCII, and
+    with nul some of them holding a NUL."""
+    alphabet = list("abcxyz019_-") + ["é", "ß", "中", "😀"] + ["\0"] * nul
     ids = set()
     while len(ids) < n:
-        name = "".join(rng.choice(alphabet, int(rng.integers(1, 11))))
+        picks = rng.integers(0, len(alphabet), int(rng.integers(1, 11)))
+        name = "".join(alphabet[k] for k in picks)  # np.str_ would drop a trailing NUL
         if len(name.encode()) <= 40:
             ids.add(name)
-    return sorted(ids, key=lambda _: rng.random())
+    return sorted(sorted(ids), key=lambda _: rng.random())
 
 
 def _assert_same_descriptors(got, want):
@@ -435,26 +483,123 @@ def _assert_same_descriptors(got, want):
 
 @pytest.mark.parametrize("precision", ["real", "byte", "bit"])
 @pytest.mark.parametrize("dim", [1, 7, 8, 9, 96])
-def test_descriptor_set_load_matches_per_record_reader(tmp_path, precision, dim):
-    rng = np.random.default_rng([47, dim, len(precision)])
-    ids = _mixed_ids(rng, 23)
-    table = {name: convert_descriptor(Descriptor("real", rng.gamma(0.6, size=dim)), precision)
-             for name in ids}
-    path = tmp_path / "set.qds"
+def test_descriptor_set_load_matches_per_record_reader(tmp_path, monkeypatch, precision, dim):
+    per_id, one_at_a_time = [], qnip.descriptor._ids
+
+    def counted(path, data, starts, tags_at):
+        per_id.append(starts)
+        return one_at_a_time(path, data, starts, tags_at)
+
+    monkeypatch.setattr(qnip.descriptor, "_ids", counted)
+    for nul in (False, True):
+        rng = np.random.default_rng([47, dim, len(precision), nul])
+        ids = _mixed_ids(rng, 23, nul)
+        table = {name: convert_descriptor(Descriptor("real", rng.gamma(0.6, size=dim)), precision)
+                 for name in ids}
+        path = tmp_path / f"set{nul:d}.qds"
+        save_descriptors(path, table)
+        per_id.clear()
+        loaded = load_descriptors(path)
+        # non-ASCII ids without a NUL are decoded at once: only the first
+        # id alone; NUL-bearing ones one at a time
+        assert len(per_id) == 1 + any("\0" in name for name in ids)
+        assert isinstance(loaded, DescriptorSet) and len(loaded) == len(ids)
+        assert (loaded.precision, loaded.dim) == (precision, dim)
+        assert loaded.rows.shape == (len(ids), -(-dim // 8) if precision == "bit" else dim)
+        _assert_same_descriptors(loaded, _oracle_load(path))
+        # a copy, not a view of the set's rows
+        first = loaded[ids[0]]
+        first.values += 1
+        assert loaded[ids[0]] != first
+        # a set is written from its arrays, byte for byte as its dict and as
+        # one record at a time
+        assert path.read_bytes() == _reference_save(table)
+        for packed in (loaded, DescriptorSet.stack(table)):
+            save_descriptors(tmp_path / "again.qds", packed)
+            assert (tmp_path / "again.qds").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["alternating", "unpadded"])
+def test_large_mixed_length_files_round_trip(tmp_path, kind):
+    # sorted ids of alternating lengths ("00000a", "00001", ...) and
+    # img{k} ids, whose lengths change every few records
+    n = 10_000
+    ids = ([f"{k:05d}" + "a" * (k % 2 == 0) for k in range(n)] if kind == "alternating"
+           else [f"img{k}" for k in range(n)])
+    rng = np.random.default_rng([52, len(kind)])
+    table = {name: convert_descriptor(Descriptor("real", row), "byte")
+             for name, row in zip(ids, rng.gamma(0.6, size=(n, 12)))}
+    path = tmp_path / "large.qds"
     save_descriptors(path, table)
-    loaded = load_descriptors(path)
-    assert isinstance(loaded, DescriptorSet) and len(loaded) == len(ids)
-    assert (loaded.precision, loaded.dim) == (precision, dim)
-    assert loaded.rows.shape == (len(ids), -(-dim // 8) if precision == "bit" else dim)
+    assert path.read_bytes() == _reference_save(table)
+    loaded, stacked = load_descriptors(path), DescriptorSet.stack(table)
+    assert list(loaded) == list(stacked) and np.array_equal(loaded.rows, stacked.rows)
+    assert np.array_equal(loaded.meta, stacked.meta.astype(np.float32))
     _assert_same_descriptors(loaded, _oracle_load(path))
-    # a copy, not a view of the set's rows
-    first = loaded[ids[0]]
-    first.values += 1
-    assert loaded[ids[0]] != first
-    # a set is written from its arrays, byte for byte as its dict
-    for packed in (loaded, DescriptorSet.stack(table)):
-        save_descriptors(tmp_path / "again.qds", packed)
-        assert (tmp_path / "again.qds").read_bytes() == path.read_bytes()
+    save_descriptors(tmp_path / "again.qds", loaded)
+    assert (tmp_path / "again.qds").read_bytes() == path.read_bytes()
+
+
+def _stretch_file():
+    """A byte file of 200 records: a stretch of 120 ids of one length,
+    then ids of alternating lengths. Returns its bytes and each record's
+    start."""
+    names = [f"k{k:04d}" for k in range(120)] + [f"m{k}" + "x" * (k % 2) for k in range(80)]
+    records = [(name, 1, bytes([k % 256, 7, 9]), 0.5) for k, name in enumerate(names)]
+    blob = _qds(3, records)
+    starts, pos = [], 10
+    for name, *_ in records:
+        starts.append(pos)
+        pos += 2 + len(name) + 1 + 3 + 4
+    return bytearray(blob), starts
+
+
+# records inside the stretch that the loader's first probe takes, at its
+# last record, just past it and at the file's last one
+_STRETCH_RECORDS = [1, 7, 8, 9, 15, 16, 17, 40, 64, 119, 120, 121, 199]
+
+
+@pytest.mark.parametrize("k", _STRETCH_RECORDS)
+def test_load_errors_inside_and_at_the_edge_of_a_stretch(tmp_path, k):
+    good, starts = _stretch_file()
+    path = tmp_path / "bad.qds"
+    at = starts[k]
+    id_len = good[at]
+    name = good[at + 2:at + 2 + id_len].decode()
+
+    blob = good.copy()
+    blob[at + 2 + id_len] = 2
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CorruptionError,
+                       match=f"^{path}: record '{name}' has precision tag 2, the first record 1$"):
+        load_descriptors(path)
+    blob[at + 2 + id_len] = 9
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CorruptionError, match=f"^{path}: unknown precision tag 9$"):
+        load_descriptors(path)
+
+    blob = good.copy()
+    blob[at + 2 + id_len - 1] = 0xC3  # starts a character the id does not finish
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CorruptionError, match=f"^{path}: the id of the record at byte "
+                                              f"{at} is not UTF-8$"):
+        load_descriptors(path)
+
+    # a record count that ends the file's records at this one
+    blob = good.copy()
+    blob[6:10] = struct.pack("<I", k)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CorruptionError, match=f"^{path}: {len(blob) - at} trailing bytes$"):
+        load_descriptors(path)
+
+    # cut inside each field of the record, and just before it
+    for cut in (at, at + 1, at + 2, at + 2 + id_len, at + 3 + id_len, at + 5 + id_len,
+                at + 7 + id_len):
+        path.write_bytes(bytes(good[:cut]))
+        with pytest.raises(TruncationError) as want:
+            _oracle_load(path)
+        with pytest.raises(TruncationError, match=f"^{str(want.value)}$"):
+            load_descriptors(path)
 
 
 def test_descriptor_set_loads_out_of_order_files_sorted(tmp_path):
@@ -467,6 +612,19 @@ def test_descriptor_set_loads_out_of_order_files_sorted(tmp_path):
     _assert_same_descriptors(loaded, _oracle_load(path))
     assert loaded.rows.tolist() == [[4, 5, 6], [7, 8, 9], [1, 2, 3]]
     assert loaded.meta.tolist() == [2.0, 0.0, 0.5]
+
+
+@pytest.mark.parametrize("names", [["aa", "bbb"], ["aaa", "bb"], ["aa", "bb", "ccc"],
+                                   ["aaa", "bb", "cc"], ["aa", "bbb", "cc"]])
+def test_load_finds_one_record_of_another_size(tmp_path, names):
+    # the payloads are sliced at one stride only when every record, the
+    # first and the last included, has one size
+    path = tmp_path / "sizes.qds"
+    records = [(name, 0, struct.pack("<2f", k + 1, k + 2), 0.0) for k, name in enumerate(names)]
+    path.write_bytes(_qds(2, records))
+    loaded = load_descriptors(path)
+    _assert_same_descriptors(loaded, _oracle_load(path))
+    assert loaded.rows.tolist() == [[k + 1, k + 2] for k in range(len(names))]
 
 
 def test_descriptor_set_clears_bit_padding(tmp_path):

@@ -18,6 +18,7 @@ from qnip.descriptor import (
     save_descriptors,
 )
 from qnip.retrieval import (
+    _stable_ranks,
     average_precision,
     build_index,
     evaluate,
@@ -263,7 +264,7 @@ def test_search_k_and_exclude_slice_the_full_ranking(precision):
             search(index, entries[qid], k=k)
 
 
-@pytest.mark.parametrize("dim", [1, 7, 8, 9, 96])
+@pytest.mark.parametrize("dim", [1, 7, 8, 9, 64, 65, 96])
 def test_packed_hamming_equals_count_nonzero_on_flags(tmp_path, dim):
     rng = np.random.default_rng([48, dim])
     flags = rng.integers(0, 2, size=(40, dim)).astype(np.uint8)
@@ -363,6 +364,19 @@ def test_average_precision_by_count_equals_the_full_list(precision):
             assert part.average_precision(relevant) == average_precision(
                 [n for n, _ in part], relevant), qid
     assert mean_ap == sum(per_query.values()) / len(per_query)
+
+
+@pytest.mark.parametrize("distinct,relevant", [(97, 1000), (97, 10), (None, 1000), (3, 4)])
+def test_stable_ranks_equal_the_stable_argsort(distinct, relevant):
+    # counted ranks, with few distinct keys (nearly every row tied) and
+    # with unique ones
+    rng = np.random.default_rng([53, relevant])
+    n = 10_000
+    keys = -(rng.integers(0, distinct, n) / distinct if distinct else rng.random(n))
+    rows = rng.choice(n, relevant, replace=False)
+    want = np.empty(n, np.intp)
+    want[np.argsort(keys, kind="stable")] = np.arange(n)
+    assert np.array_equal(_stable_ranks(keys, rows), want[rows])
 
 
 def test_build_index_rejects_non_finite_and_negative_scales():
