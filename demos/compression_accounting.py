@@ -26,7 +26,7 @@ for m in range(1, 6):
 print()
 print("=== 13-conv network, seven 3-bit layers then six 1-bit layers ===")
 vgg = load_network(config_path("vgg16"))
-profile = parse_profile("3x7,1x6", len(vgg.conv_layer_shapes()))
+profile = parse_profile("3x7,1x6", len(vgg.conv_specs))
 sizes = model_sizes(vgg, profile)
 print(f"  overall ratio : {model_ratio(vgg, profile):.2f}x")
 print(f"  float weights : {sizes.float_bytes:>12,} bytes "
@@ -41,7 +41,7 @@ net = parse_network("input 3 16 16\nconv 8 pad=1\npool\nconv 12 tap\n"
 model = init_float_model(net, np.random.default_rng(0))
 compressed = build_compressed_model(net, model, [3, 1])
 for i, layer in enumerate(compressed.layers):
-    shape = net.conv_layer_shapes()[i]
+    shape = net.conv_specs[i]
     print(f"  conv{i + 1}: {shape.out_channels}x{shape.in_channels} kernels, "
           f"m={compressed.profile[i]}, shift e={layer.shift}")
 blob = encode(compressed)

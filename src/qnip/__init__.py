@@ -23,9 +23,8 @@ from .network import (FloatModel, NetworkDefinition, NetworkConfigError,
                       init_float_model, load_float_model, load_network,
                       model_checksum, parse_network, propagate_shapes,
                       save_float_model, tap_shape)
-from .ops import (ConvLayerShape, DegenerateCropError, ShapeError, conv2d, crop,
-                  fully_connected, maxpool2x2, relu, resize_bilinear, rotate90,
-                  softmax_cross_entropy)
+from .ops import (DegenerateCropError, ShapeError, conv2d, crop, fully_connected,
+                  maxpool2x2, relu, resize_bilinear, rotate90, softmax_cross_entropy)
 from .quantize import (QuantStats, QuantizedLayer, ShiftResult,
                        compute_layer_shift, dequantize_bias, dequantize_layer,
                        dequantize_scalar, quantize_bias, quantize_kernel_1bit,

@@ -175,7 +175,7 @@ def _cmd_ratio(args) -> int:
 
 def _cmd_quantize(args) -> int:
     net = network.load_network(args.net)
-    profile = codec.parse_profile(args.profile, len(net.conv_layer_shapes()))
+    profile = codec.parse_profile(args.profile, len(net.conv_specs))
     model = network.load_float_model(args.weights)
     compressed = codec.build_compressed_model(net, model, profile, args.policy,
                                               args.shift_scope)
@@ -189,8 +189,7 @@ def _cmd_quantize(args) -> int:
 
 def _inspect_lines(net, profile, policy, checksum, layers=None):
     lines = ["layer  out   in  m  e"]
-    shapes = net.conv_layer_shapes()
-    for i, (shape, m) in enumerate(zip(shapes, profile)):
+    for i, (shape, m) in enumerate(zip(net.conv_specs, profile)):
         e = layers[i].shift if layers is not None else "-"
         lines.append(f"conv{i + 1:<2} {shape.out_channels:>4} {shape.in_channels:>4}"
                      f"  {m}  {e}")
@@ -208,7 +207,7 @@ def _cmd_inspect(args) -> int:
                                model.source_checksum, model.layers)
     elif args.net and args.profile:
         net = network.load_network(args.net)
-        profile = codec.parse_profile(args.profile, len(net.conv_layer_shapes()))
+        profile = codec.parse_profile(args.profile, len(net.conv_specs))
         lines = _inspect_lines(net, profile, quantize.DEFAULT_POLICY, "")
     else:
         raise _UsageError("inspect: give a model file, or both --net and --profile")
@@ -246,7 +245,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_retrain(args) -> int:
     net = network.load_network(args.net)
-    profile = codec.parse_profile(args.profile, len(net.conv_layer_shapes()))
+    profile = codec.parse_profile(args.profile, len(net.conv_specs))
     if any(m is None for m in profile):
         raise ValueError("retrain profile must quantize every layer (no 'f' entries)")
     dataset = datasets.load_labeled_dataset(args.data)
@@ -291,11 +290,8 @@ def _cmd_extract(args) -> int:
             return descriptor.convert_descriptor(d, args.precision)
 
     names = list(images)
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(one, [images[n] for n in names]))
-    else:
-        results = [one(images[n]) for n in names]
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        results = list(pool.map(one, [images[n] for n in names]))
     descriptor.save_descriptors(args.out, dict(zip(names, results)))
     _say(f"wrote {args.out}: {len(names)} {args.precision} descriptors "
          f"({args.kind}, levels {levels_text})")
@@ -303,15 +299,8 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_index(args) -> int:
-    sets = []
-    for path in args.desc:
-        part = descriptor.load_descriptors(path)
-        if sets:
-            repeated = np.intersect1d(np.concatenate([s.ids for s in sets]), part.ids)
-            if repeated.size:
-                raise ValueError(f"duplicate id {repeated[0]!r} while merging {path}")
-        sets.append(part)
-    merged = descriptor.DescriptorSet.concatenate(sets)
+    merged = descriptor.DescriptorSet.concatenate(
+        [descriptor.load_descriptors(path) for path in args.desc])
     descriptor.save_descriptors(args.out, merged)
     _say(f"wrote {args.out}: {len(merged)} descriptors")
     return EXIT_OK
@@ -415,10 +404,7 @@ def dispatch(argv) -> int:
     except _UsageError as err:
         _say(str(err))
         return EXIT_USAGE
-    except train.DivergenceError as err:
-        _say(f"numerical failure: {err}")
-        return EXIT_NUMERIC
-    except FloatingPointError as err:
+    except (train.DivergenceError, FloatingPointError) as err:
         _say(f"numerical failure: {err}")
         return EXIT_NUMERIC
     except (OSError, ValueError) as err:  # codec.CodecError is a ValueError

@@ -102,7 +102,7 @@ def parse_profile(text: str, n_layers: int | None = None) -> list[int | None]:
 
 
 def _checked_profile(net: NetworkDefinition, profile) -> list[int]:
-    shapes = net.conv_layer_shapes()
+    shapes = net.conv_specs
     prof = list(profile)
     if len(prof) != len(shapes):
         raise ValueError(f"profile covers {len(prof)} layers, network has {len(shapes)}")
@@ -116,7 +116,7 @@ def _checked_profile(net: NetworkDefinition, profile) -> list[int]:
 def model_ratio(net: NetworkDefinition, profile, scalar_bits: int = 8) -> float:
     """Overall conv-weight compression ratio under a per-layer profile."""
     prof = _checked_profile(net, profile)
-    pairs = [s.out_channels * s.in_channels for s in net.conv_layer_shapes()]
+    pairs = [s.out_channels * s.in_channels for s in net.conv_specs]
     float_bits = sum(KERNEL_BITS_FLOAT * p for p in pairs)
     packed_bits = sum(p * (KERNEL_WEIGHTS * m + scalar_bits) for p, m in zip(pairs, prof))
     return float_bits / packed_bits
@@ -124,7 +124,8 @@ def model_ratio(net: NetworkDefinition, profile, scalar_bits: int = 8) -> float:
 
 def parameter_count(net: NetworkDefinition) -> int:
     """Weights plus biases across conv and dense layers."""
-    return (sum(s.weight_count() + s.out_channels for s in net.conv_layer_shapes())
+    return (sum(s.out_channels * s.in_channels * KERNEL_WEIGHTS + s.out_channels
+                for s in net.conv_specs)
             + sum(o * i + o for o, i in dense_shapes(net)))
 
 
@@ -144,7 +145,7 @@ def model_sizes(net: NetworkDefinition, profile, policy: str = DEFAULT_POLICY,
     prof = _checked_profile(net, profile)
     float_bytes = 4 * parameter_count(net)
     compressed = 7  # magic + version + layer count
-    for shape, m in zip(net.conv_layer_shapes(), prof):
+    for shape, m in zip(net.conv_specs, prof):
         pairs = shape.out_channels * shape.in_channels
         compressed += 8                                        # layer header
         compressed += pairs                                    # scalars
@@ -212,7 +213,7 @@ def quantize_conv_layers(net: NetworkDefinition, conv, profile, policy: str = DE
         raise ValueError(f"unknown policy {policy!r}")
     if shift_scope not in SHIFT_SCOPES:
         raise ValueError(f"shift_scope must be one of {SHIFT_SCOPES}, got {shift_scope!r}")
-    shapes = net.conv_layer_shapes()
+    shapes = net.conv_specs
     if len(profile) != len(shapes):
         raise ValueError(f"profile covers {len(profile)} layers, network has {len(shapes)}")
     override = (global_shift([w for w, _ in conv], profile, policy)
@@ -281,7 +282,7 @@ def _metadata_bytes(net: NetworkDefinition, dense, policy: str, source: str) -> 
 
 
 def encode(model: CompressedModel) -> bytes:
-    shapes = model.network.conv_layer_shapes()
+    shapes = model.network.conv_specs
     if len(model.layers) != len(shapes):
         raise EncodeError(
             f"model has {len(model.layers)} quantized layers, network has {len(shapes)}")
@@ -366,7 +367,7 @@ def _decode(rd: Reader) -> CompressedModel:
     if policy not in POLICIES:
         raise CorruptionError(f"unknown policy {policy!r} in metadata")
 
-    shapes = net.conv_layer_shapes()
+    shapes = net.conv_specs
     if len(shapes) != layer_count:
         raise CorruptionError(
             f"metadata architecture has {len(shapes)} conv layers, stream has {layer_count}")

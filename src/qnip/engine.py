@@ -57,7 +57,7 @@ def check_accumulator_bounds(net: NetworkDefinition, profile) -> None:
     product also weighted by a scalar <= 255, the whole accumulator then
     stays below 2**39 < 2**53, so the float64 GEMM computes it exactly.
     """
-    for i, (shape, m) in enumerate(zip(net.conv_layer_shapes(), profile)):
+    for i, (shape, m) in enumerate(zip(net.conv_specs, profile)):
         worst = shape.in_channels * ops.KERNEL_WEIGHTS * ACT_MAX * mask_levels(int(m))
         if worst >= INT32_LIMIT:
             raise ValueError(

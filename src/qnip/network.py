@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .binfile import Reader, pack
-from .ops import ConvLayerShape
+from .ops import ShapeError
 
 __all__ = [
     "ConvSpec", "PoolSpec", "FlattenSpec", "DenseSpec", "NetworkDefinition",
@@ -50,9 +50,20 @@ class NetworkConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ConvSpec:
+    """Geometry of one 3x3 conv layer, input channel count included."""
+
     out_channels: int
+    in_channels: int
     stride: int = 1
     padding: int = 0
+
+    def __post_init__(self):
+        if self.out_channels < 1 or self.in_channels < 1:
+            raise ShapeError(f"channel counts must be positive, got {self}")
+        if self.stride < 1:
+            raise ShapeError(f"stride must be >= 1, got {self.stride}")
+        if self.padding < 0:
+            raise ShapeError(f"padding must be >= 0, got {self.padding}")
 
 
 @dataclass(frozen=True)
@@ -90,15 +101,6 @@ class NetworkDefinition:
     @property
     def tap_name(self) -> str:
         return f"conv{self.tap_index + 1}"
-
-    def conv_layer_shapes(self) -> list[ConvLayerShape]:
-        """Per-conv geometry with input channel counts resolved."""
-        shapes = []
-        cin = self.input_shape[0]
-        for spec in self.conv_specs:
-            shapes.append(ConvLayerShape(spec.out_channels, cin, spec.stride, spec.padding))
-            cin = spec.out_channels
-        return shapes
 
     def to_text(self) -> str:
         lines = ["input {} {} {}".format(*self.input_shape)]
@@ -145,14 +147,15 @@ def parse_network(text: str) -> NetworkDefinition:
             continue
         tokens = line.split()
         kind, args = tokens[0], tokens[1:]
+        if kind != "input" and input_shape is None:
+            raise NetworkConfigError(f"line {line_no}: input must come first")
         if kind == "input":
             if input_shape is not None:
                 raise NetworkConfigError(f"line {line_no}: duplicate input line")
-            if layers:
-                raise NetworkConfigError(f"line {line_no}: input must come first")
             if len(args) != 3:
                 raise NetworkConfigError(f"line {line_no}: input takes C H W")
             input_shape = tuple(_positive_int(a, "input dimension", line_no) for a in args)
+            cin = input_shape[0]
         elif kind == "conv":
             if not args:
                 raise NetworkConfigError(f"line {line_no}: conv needs an output channel count")
@@ -169,7 +172,8 @@ def parse_network(text: str) -> NetworkDefinition:
                         raise NetworkConfigError(f"line {line_no}: bad pad value {extra!r}")
                 else:
                     raise NetworkConfigError(f"line {line_no}: unknown conv option {extra!r}")
-            layers.append(ConvSpec(out, stride, padding))
+            layers.append(ConvSpec(out, cin, stride, padding))
+            cin = out
             conv_count += 1
         elif kind == "pool":
             layers.append(PoolSpec())
@@ -268,7 +272,7 @@ class FloatModel:
 def init_float_model(net: NetworkDefinition, rng: np.random.Generator) -> FloatModel:
     """He-normal initialization matching the architecture."""
     model = FloatModel()
-    for shape in net.conv_layer_shapes():
+    for shape in net.conv_specs:
         fan_in = shape.in_channels * 9
         w = rng.normal(0.0, np.sqrt(2.0 / fan_in),
                        size=(shape.out_channels, shape.in_channels, 3, 3))
@@ -280,7 +284,7 @@ def init_float_model(net: NetworkDefinition, rng: np.random.Generator) -> FloatM
 
 
 def check_model_matches(net: NetworkDefinition, model: FloatModel) -> None:
-    conv_shapes = net.conv_layer_shapes()
+    conv_shapes = net.conv_specs
     if len(model.conv) != len(conv_shapes):
         raise ValueError(f"model has {len(model.conv)} conv layers, net expects {len(conv_shapes)}")
     for i, (shape, (w, b)) in enumerate(zip(conv_shapes, model.conv)):

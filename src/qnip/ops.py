@@ -7,8 +7,6 @@ bit-identical output for bit-identical input. Convolutions are fixed at
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 KERNEL_SIZE = 3
@@ -21,27 +19,6 @@ class ShapeError(ValueError):
 
 class DegenerateCropError(ValueError):
     """A crop rectangle rounded to an empty pixel region."""
-
-
-@dataclass(frozen=True)
-class ConvLayerShape:
-    """Geometry of one 3x3 conv layer."""
-
-    out_channels: int
-    in_channels: int
-    stride: int = 1
-    padding: int = 0
-
-    def __post_init__(self):
-        if self.out_channels < 1 or self.in_channels < 1:
-            raise ShapeError(f"channel counts must be positive, got {self}")
-        if self.stride < 1:
-            raise ShapeError(f"stride must be >= 1, got {self.stride}")
-        if self.padding < 0:
-            raise ShapeError(f"padding must be >= 0, got {self.padding}")
-
-    def weight_count(self) -> int:
-        return self.out_channels * self.in_channels * KERNEL_WEIGHTS
 
 
 def _require_chw(x: np.ndarray, name: str = "input") -> None:

@@ -28,7 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ops import KERNEL_WEIGHTS, ConvLayerShape
+from .network import ConvSpec
+from .ops import KERNEL_WEIGHTS
 
 POLICIES = ("xnor-abs-mean", "literal-mean")
 DEFAULT_POLICY = "xnor-abs-mean"
@@ -195,7 +196,7 @@ class QuantizedLayer:
     biases: (out,) int16 in [-2048, 2047]; shift: shared exponent e.
     """
 
-    shape: ConvLayerShape
+    shape: ConvSpec
     mask_bits: int
     shift: int
     scalars: np.ndarray
@@ -287,7 +288,7 @@ def quantize_layer(weights: np.ndarray, biases: np.ndarray, mask_bits: int,
     bq = np.clip(braw, BIAS_MIN, BIAS_MAX).astype(np.int16)
 
     layer = QuantizedLayer(
-        shape=ConvLayerShape(out, cin, stride, padding),
+        shape=ConvSpec(out, cin, stride, padding),
         mask_bits=int(mask_bits),
         shift=int(e),
         scalars=scalars.reshape(out, cin),

@@ -149,7 +149,7 @@ def test_pack_error_contract():
 def _compressed(net_text, **layer_changes):
     net = parse_network(net_text)
     model = build_compressed_model(net, init_float_model(net, np.random.default_rng(0)),
-                                   [1] * len(net.conv_layer_shapes()))
+                                   [1] * len(net.conv_specs))
     return dataclasses.replace(
         model, layers=[dataclasses.replace(layer, **layer_changes) for layer in model.layers])
 

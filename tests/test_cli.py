@@ -289,7 +289,7 @@ def test_extract_index_search_eval_report_flow(ws, capsys):
     # merging a file with itself trips the duplicate-id check
     assert dispatch(["index", "--desc", str(desc), str(desc),
                      "--out", str(index)]) == EXIT_DATA
-    capsys.readouterr()
+    assert "duplicate id '1000'" in capsys.readouterr().err
 
     out_csv = root / "hits.csv"
     assert dispatch(["search", "--index", str(index), "--query-id", "1000",

@@ -31,8 +31,7 @@ from qnip.codec import (
     ratio_formula,
     save_model,
 )
-from qnip.network import init_float_model, load_network, parse_network
-from qnip.ops import ConvLayerShape
+from qnip.network import ConvSpec, init_float_model, load_network, parse_network
 from qnip.quantize import QuantizedLayer
 
 
@@ -81,7 +80,7 @@ def test_parse_profile_errors():
 
 def _hand_layer(mask, shift=0, scalar=200, bias=1, mask_bits=1):
     return QuantizedLayer(
-        shape=ConvLayerShape(1, 1),
+        shape=ConvSpec(1, 1),
         mask_bits=mask_bits,
         shift=shift,
         scalars=np.array([[scalar]], dtype=np.uint8),
@@ -207,6 +206,8 @@ def test_round_trip_identity():
         again = decode(encode(compressed))
         assert again == compressed
         assert encode(again) == encode(compressed)
+        for container in (compressed, again):
+            assert [layer.shape for layer in container.layers] == list(net.conv_specs)
 
 
 def test_list_and_tuple_built_containers_compare_equal():

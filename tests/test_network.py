@@ -39,6 +39,7 @@ def test_parse_basic_network():
     net = parse_network(TOY_TEXT)
     assert net.input_shape == (3, 32, 32)
     assert [s.out_channels for s in net.conv_specs] == [16, 32, 96]
+    assert [s.in_channels for s in net.conv_specs] == [3, 16, 32]
     assert [s.out_features for s in net.dense_specs] == [10]
     assert net.tap_name == "conv3"
     assert tap_shape(net) == (96, 8, 8)
@@ -51,7 +52,7 @@ def test_parse_roundtrips_through_to_text():
 
 def test_parse_stride_and_pad_options():
     net = parse_network("input 1 9 9\nconv 4 stride=2 pad=1 tap\n")
-    assert net.conv_specs[0] == ConvSpec(4, stride=2, padding=1)
+    assert net.conv_specs[0] == ConvSpec(4, 1, stride=2, padding=1)
     assert propagate_shapes(net) == [(4, 5, 5)]
 
 
@@ -86,6 +87,29 @@ def test_parse_errors():
     ]:
         with pytest.raises(NetworkConfigError):
             parse_network(text)
+
+
+def test_parse_refuses_layers_before_input():
+    for text, message in [
+        ("# conv first\nconv 4\ninput 1 8 8\n", "line 2: input must come first"),
+        ("pool\ninput 1 8 8\nconv 2\n", "line 1: input must come first"),
+        ("conv 4 pad=1\nconv 4 tap\n", "line 1: input must come first"),  # no input line
+        ("# nothing but a comment\n", "missing input line"),
+    ]:
+        with pytest.raises(NetworkConfigError, match=f"^{message}$"):
+            parse_network(text)
+
+
+def test_conv_spec_validation():
+    assert ConvSpec(4, 3, 2, 1) == ConvSpec(out_channels=4, in_channels=3, stride=2, padding=1)
+    with pytest.raises(ValueError):
+        ConvSpec(out_channels=0, in_channels=1)
+    with pytest.raises(ValueError):
+        ConvSpec(out_channels=1, in_channels=0)
+    with pytest.raises(ValueError):
+        ConvSpec(out_channels=1, in_channels=1, stride=0)
+    with pytest.raises(ValueError):
+        ConvSpec(out_channels=1, in_channels=1, padding=-1)
 
 
 def test_vgg_fixture_geometry():

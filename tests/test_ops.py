@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qnip.ops import (
-    ConvLayerShape,
     DegenerateCropError,
     ShapeError,
     col2im,
@@ -296,13 +295,3 @@ def test_softmax_cross_entropy_rejects_bad_input():
     with pytest.raises(ValueError):
         softmax_cross_entropy(np.zeros(3), 3)
 
-
-def test_conv_layer_shape_validation():
-    shape = ConvLayerShape(out_channels=4, in_channels=3, stride=2, padding=1)
-    assert shape.weight_count() == 4 * 3 * 9
-    with pytest.raises(ValueError):
-        ConvLayerShape(out_channels=0, in_channels=1)
-    with pytest.raises(ValueError):
-        ConvLayerShape(out_channels=1, in_channels=1, stride=0)
-    with pytest.raises(ValueError):
-        ConvLayerShape(out_channels=1, in_channels=1, padding=-1)

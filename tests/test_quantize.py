@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qnip.ops import ConvLayerShape
+from qnip.network import ConvSpec
 from qnip.quantize import (
     BIAS_MAX,
     BIAS_MIN,
@@ -254,7 +254,7 @@ def test_quantize_layer_shapes_and_dtypes():
     rng = np.random.default_rng(17)
     weights, biases = _random_layer(rng, out_ch=5, in_ch=2)
     layer = quantize_layer(weights, biases, mask_bits=4, stride=2, padding=1)
-    assert layer.shape == ConvLayerShape(5, 2, stride=2, padding=1)
+    assert layer.shape == ConvSpec(5, 2, stride=2, padding=1)
     assert layer.scalars.shape == (5, 2) and layer.scalars.dtype == np.uint8
     assert layer.masks.shape == (5, 2, 9) and layer.masks.dtype == np.int8
     assert layer.biases.shape == (5,) and layer.biases.dtype == np.int16

@@ -189,7 +189,7 @@ def test_quantized_view_mixes_float_and_quantized_layers():
     assert view[1][0] is shadow.conv[1][0] and view[1][1] is shadow.conv[1][1]
     e = global_shift([w for w, _ in shadow.conv], profile, config.policy)
     for i in (0, 2):
-        shape = net.conv_layer_shapes()[i]
+        shape = net.conv_specs[i]
         w, b = shadow.conv[i]
         want = dequantize_layer(quantize_layer(w, b, profile[i], config.policy, shape.stride,
                                                shape.padding, shift_override=e))
