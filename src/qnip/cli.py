@@ -313,16 +313,16 @@ def _cmd_search(args) -> int:
     ranked = retrieval.search(index, index.entries[args.query_id], k=args.k,
                               exclude=args.query_id)
     bitwise = index.precision == "bit"
-    print("query_id,rank,id,score")
-    for rank, (name, score) in enumerate(ranked, start=1):
-        text = str(int(score)) if bitwise else f"{score:.6f}"
-        print(f"{args.query_id},{rank},{name},{text}")
+    retrieval.write_results(sys.stdout, {args.query_id: ranked}, bitwise)
     if args.out:
         retrieval.write_results_csv(args.out, {args.query_id: ranked}, bitwise)
     return EXIT_OK
 
 
 def _cmd_eval(args) -> int:
+    for option, label in (("--pipeline", args.pipeline), ("--precision", args.precision)):
+        if label and any(c in label for c in ",\r\n"):
+            raise _UsageError(f"eval: {option} label {label!r} holds a comma or line break")
     index = retrieval.build_index(descriptor.load_descriptors(args.index))
     ground_truth = retrieval.read_ground_truth(args.ground_truth)
     mAP, per_query = retrieval.evaluate(index, ground_truth)
@@ -345,11 +345,14 @@ def _cmd_report(args) -> int:
     pipelines = list(PIPELINES)
     for path in args.evals:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [l.strip() for l in fh if l.strip()]
-        if not lines or lines[0] != "pipeline,precision,map":
+            lines = [(n, l.strip()) for n, l in enumerate(fh, start=1) if l.strip()]
+        if not lines or lines[0][1] != "pipeline,precision,map":
             raise ValueError(f"{path}: not an eval CSV (bad header)")
-        for line in lines[1:]:
-            pipeline, precision, value = line.split(",")
+        for n, line in lines[1:]:
+            fields = line.split(",")
+            if len(fields) != 3:
+                raise ValueError(f"{path}:{n}: expected 'pipeline,precision,map', got {line!r}")
+            pipeline, precision, value = fields
             cells[(precision, pipeline)] = float(value)
             if pipeline not in pipelines:
                 pipelines.append(pipeline)

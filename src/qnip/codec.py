@@ -13,7 +13,10 @@ Byte layout (all integers little-endian unless noted)::
 The stream is read through binfile.Reader and written through binfile.pack
 under their contracts: bad magic, truncation and trailing bytes are refused,
 and a stride, padding or channel count too large for its field raises
-EncodeError before save_model writes anything.
+EncodeError before save_model writes anything. CompressedModel and
+QuantizedLayer check themselves when built, so encode is only handed valid
+containers; decode builds both as it reads and reports what they refuse as
+CorruptionError.
 
 Masks are two's complement within their m bits, except m = 1 where the
 single bit encodes +1 (1) or -1 (0). A section packs as one (count, m) uint8
@@ -41,11 +44,11 @@ import numpy as np
 
 from .binfile import (CodecError, CorruptionError, EncodeError,  # noqa: F401 (re-exported)
                       FormatError, Reader, TruncationError, pack)
-from .network import (FloatModel, NetworkDefinition, check_model_matches, dense_shapes,
-                      model_checksum, parse_network)
+from .network import (ConvSpec, FloatModel, NetworkDefinition, check_model_matches,
+                      dense_shapes, model_checksum, parse_network)
 from .ops import KERNEL_WEIGHTS
-from .quantize import (DEFAULT_POLICY, POLICIES, SHIFT_MAX, SHIFT_MIN, QuantizedLayer,
-                       dequantize_layer, global_shift, mask_levels, quantize_layer)
+from .quantize import (DEFAULT_POLICY, POLICIES, QuantizedLayer, dequantize_layer,
+                       global_shift, mask_levels, quantize_layer)
 
 MAGIC = b"QCM2"
 _KIND = "a compressed-model container"
@@ -129,6 +132,11 @@ def parameter_count(net: NetworkDefinition) -> int:
             + sum(o * i + o for o, i in dense_shapes(net)))
 
 
+def _section_bytes(out: int, cin: int, mask_bits: int) -> tuple[int, int]:
+    """Byte sizes of one layer's mask and bias sections."""
+    return -(-out * cin * KERNEL_WEIGHTS * mask_bits // 8), -(-out * BIAS_BITS // 8)
+
+
 class ModelSizes(NamedTuple):
     float_bytes: int
     compressed_bytes: int
@@ -146,11 +154,8 @@ def model_sizes(net: NetworkDefinition, profile, policy: str = DEFAULT_POLICY,
     float_bytes = 4 * parameter_count(net)
     compressed = 7  # magic + version + layer count
     for shape, m in zip(net.conv_specs, prof):
-        pairs = shape.out_channels * shape.in_channels
-        compressed += 8                                        # layer header
-        compressed += pairs                                    # scalars
-        compressed += -(-pairs * KERNEL_WEIGHTS * m // 8)      # masks
-        compressed += -(-shape.out_channels * BIAS_BITS // 8)  # biases
+        out, cin = shape.out_channels, shape.in_channels
+        compressed += 8 + out * cin + sum(_section_bytes(out, cin, m))  # header, scalars
     zero_dense = [(np.zeros((o, i), np.float32), np.zeros(o, np.float32))
                   for o, i in dense_shapes(net)]
     compressed += 4 + len(_metadata_bytes(net, zero_dense, policy, source_checksum))
@@ -163,9 +168,11 @@ def model_sizes(net: NetworkDefinition, profile, policy: str = DEFAULT_POLICY,
 @dataclass(frozen=True, eq=False)
 class CompressedModel:
     """Immutable: layers and dense pairs become tuples, every array read-only.
-    It builds one dequantized weight set on first use and keeps it while it
-    lives; a dataclasses.replace copy builds its own. Threads racing on first
-    use may each build identical weights (no lock on Python 3.12+); one is kept."""
+    Building one (replace included) raises ValueError unless its layers and
+    dense head match the network. It builds one dequantized weight set on first
+    use and keeps it while it lives; a dataclasses.replace copy builds its own.
+    Threads racing on first use may each build identical weights (no lock on
+    Python 3.12+); one is kept."""
 
     network: NetworkDefinition
     layers: tuple[QuantizedLayer, ...]
@@ -176,6 +183,18 @@ class CompressedModel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "layers", tuple(self.layers))
         object.__setattr__(self, "dense", tuple((w, b) for w, b in self.dense))
+        specs = self.network.conv_specs
+        if len(self.layers) != len(specs):
+            raise ValueError(
+                f"model has {len(self.layers)} quantized layers, network has {len(specs)}")
+        for i, (layer, spec) in enumerate(zip(self.layers, specs)):
+            if layer.shape != spec:
+                raise ValueError(f"layer {i}: geometry {layer.shape} != network's {spec}")
+        expected = [((o, i), (o,)) for o, i in dense_shapes(self.network)]
+        stored = [(w.shape, b.shape) for w, b in self.dense]
+        if stored != expected:
+            raise ValueError(
+                f"dense head shapes {stored} disagree with architecture {expected}")
         for w, b in self.dense:
             w.flags.writeable = b.flags.writeable = False
 
@@ -282,20 +301,10 @@ def _metadata_bytes(net: NetworkDefinition, dense, policy: str, source: str) -> 
 
 
 def encode(model: CompressedModel) -> bytes:
-    shapes = model.network.conv_specs
-    if len(model.layers) != len(shapes):
-        raise EncodeError(
-            f"model has {len(model.layers)} quantized layers, network has {len(shapes)}")
-    blob = bytearray()
-    blob += MAGIC
+    blob = bytearray(MAGIC)
     blob += pack("<BH", "header (version, layer count)", VERSION, len(model.layers))
-    for i, (layer, shape) in enumerate(zip(model.layers, shapes)):
-        if layer.shape != shape:
-            raise EncodeError(f"layer {i}: geometry {layer.shape} != network's {shape}")
-        try:
-            layer.validate()
-        except ValueError as err:
-            raise EncodeError(f"layer {i}: {err}") from err
+    for i, layer in enumerate(model.layers):
+        shape = layer.shape
         blob += pack("<HHBBBb", f"layer {i} header (out, in, stride, padding, m, e)",
                      shape.out_channels, shape.in_channels, shape.stride, shape.padding,
                      layer.mask_bits, layer.shift)
@@ -320,29 +329,27 @@ def _decode(rd: Reader) -> CompressedModel:
     if version != VERSION:
         raise UnsupportedVersionError(f"container version {version}, expected {VERSION}")
 
-    raw_layers = []
+    layers = []
     for i in range(layer_count):
         out, cin, stride, padding, m, e = rd.unpack("<HHBBBb", f"layer {i} header")
         if not 1 <= m <= 5:
             raise CorruptionError(f"layer {i}: mask width {m} outside 1..5")
-        if not SHIFT_MIN <= e <= SHIFT_MAX:
-            raise CorruptionError(f"layer {i}: shift {e} outside [{SHIFT_MIN}, {SHIFT_MAX}]")
-        if out == 0 or cin == 0:
-            raise CorruptionError(f"layer {i}: zero channel count")
         pairs = out * cin
+        mask_bytes, bias_bytes = _section_bytes(out, cin, m)
         scalars = rd.array(np.uint8, pairs, f"layer {i} scalars")
-        mask_bytes = -(-pairs * KERNEL_WEIGHTS * m // 8)
         packed = rd.array(np.uint8, mask_bytes, f"layer {i} masks")
         if m == 1:
             masks = np.unpackbits(packed, count=pairs * KERNEL_WEIGHTS).view(np.int8) * 2 - 1
         else:
-            masks = _unpack_fields(packed, m, pairs * KERNEL_WEIGHTS)
-            if np.abs(masks).max(initial=0) > mask_levels(m):
-                raise CorruptionError(f"layer {i}: mask value -{2 ** (m - 1)} is not encodable")
-            masks = masks.astype(np.int8)
-        bias_bytes = -(-out * BIAS_BITS // 8)
+            masks = _unpack_fields(packed, m, pairs * KERNEL_WEIGHTS).astype(np.int8)
         biases = _unpack_fields(rd.array(np.uint8, bias_bytes, f"layer {i} biases"), BIAS_BITS, out)
-        raw_layers.append(((out, cin, stride, padding), m, e, scalars, masks, biases))
+        try:
+            layers.append(QuantizedLayer(
+                shape=ConvSpec(out, cin, stride, padding), mask_bits=m, shift=e,
+                scalars=scalars.reshape(out, cin).copy(),
+                masks=masks.reshape(out, cin, KERNEL_WEIGHTS), biases=biases))
+        except ValueError as err:  # ShapeError included
+            raise CorruptionError(f"layer {i}: {err}") from err
 
     (meta_len,) = rd.unpack("<I", "metadata length")
     meta_raw = rd.take(meta_len, "metadata block")
@@ -358,33 +365,15 @@ def _decode(rd: Reader) -> CompressedModel:
         for entry in meta["dense"]:
             o, i = (int(v) for v in entry["shape"])
             w = np.frombuffer(base64.b64decode(entry["w"]), np.float32).reshape(o, i)
-            b = np.frombuffer(base64.b64decode(entry["b"]), np.float32)
-            if b.shape != (o,):
-                raise ValueError(f"dense bias length {b.shape[0]} != {o}")
-            dense.append((w, b))
+            dense.append((w, np.frombuffer(base64.b64decode(entry["b"]), np.float32)))
     except (KeyError, ValueError, TypeError, AttributeError) as err:  # any JSON shape
         raise CorruptionError(f"bad metadata block: {err}") from err
     if policy not in POLICIES:
         raise CorruptionError(f"unknown policy {policy!r} in metadata")
-
-    shapes = net.conv_specs
-    if len(shapes) != layer_count:
-        raise CorruptionError(
-            f"metadata architecture has {len(shapes)} conv layers, stream has {layer_count}")
-    layers = []
-    for i, (shape, (geometry, m, e, scalars, masks, biases)) in enumerate(zip(shapes, raw_layers)):
-        out, cin = shape.out_channels, shape.in_channels
-        if geometry != (out, cin, shape.stride, shape.padding):
-            raise CorruptionError(
-                f"layer {i}: header geometry {geometry} disagrees with architecture {shape}")
-        layers.append(QuantizedLayer(
-            shape=shape, mask_bits=m, shift=e, scalars=scalars.reshape(out, cin).copy(),
-            masks=masks.reshape(out, cin, KERNEL_WEIGHTS), biases=biases))
-    expected, stored = dense_shapes(net), [w.shape for w, _ in dense]
-    if stored != expected:
-        raise CorruptionError(
-            f"dense head shapes {stored} disagree with architecture {expected}")
-    return CompressedModel(net, layers, dense, policy, source)
+    try:
+        return CompressedModel(net, layers, dense, policy, source)
+    except ValueError as err:  # the stream disagrees with its metadata architecture
+        raise CorruptionError(str(err)) from err
 
 
 def save_model(path, model: CompressedModel) -> None:

@@ -194,6 +194,7 @@ class QuantizedLayer:
 
     scalars: (out, in) uint8 mantissas; masks: (out, in, 9) int8;
     biases: (out,) int16 in [-2048, 2047]; shift: shared exponent e.
+    Building one (dataclasses.replace included) runs validate.
     """
 
     shape: ConvSpec
@@ -205,6 +206,7 @@ class QuantizedLayer:
     stats: QuantStats | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.validate()
         for array in (self.scalars, self.masks, self.biases):
             array.flags.writeable = False
 
@@ -219,28 +221,26 @@ class QuantizedLayer:
                 and np.array_equal(self.biases, other.biases))
 
     def validate(self) -> None:
+        """Raise ValueError naming the first field outside the format."""
         out, cin = self.shape.out_channels, self.shape.in_channels
         lmax = mask_levels(self.mask_bits)
         if not SHIFT_MIN <= self.shift <= SHIFT_MAX:
             raise ValueError(f"shift {self.shift} outside [{SHIFT_MIN}, {SHIFT_MAX}]")
-        if self.scalars.shape != (out, cin):
-            raise ValueError(f"scalars shape {self.scalars.shape} != ({out}, {cin})")
-        if self.masks.shape != (out, cin, KERNEL_WEIGHTS):
-            raise ValueError(f"masks shape {self.masks.shape} != ({out}, {cin}, 9)")
-        if self.biases.shape != (out,):
-            raise ValueError(f"biases shape {self.biases.shape} != ({out},)")
-        for name in ("scalars", "masks", "biases"):
-            dtype = getattr(self, name).dtype
-            if not np.issubdtype(dtype, np.integer):
-                raise ValueError(f"{name} must hold integers, got dtype {dtype}")
+        for name, shape in (("scalars", (out, cin)), ("masks", (out, cin, KERNEL_WEIGHTS)),
+                            ("biases", (out,))):
+            array = getattr(self, name)
+            if array.shape != shape:
+                raise ValueError(f"{name} shape {array.shape} != {shape}")
+            if not np.issubdtype(array.dtype, np.integer):
+                raise ValueError(f"{name} must hold integers, got dtype {array.dtype}")
         if self.scalars.min(initial=0) < 0 or self.scalars.max(initial=0) > SCALAR_MAX:
-            raise ValueError("scalar mantissas outside 0..255")
-        if np.abs(self.masks).max(initial=0) > lmax:
-            raise ValueError(f"mask values exceed +-{lmax} for {self.mask_bits}-bit masks")
-        if self.mask_bits == 1 and np.any(self.masks == 0):
+            raise ValueError("scalars outside 0..255")
+        if self.masks.min(initial=0) < -lmax or self.masks.max(initial=0) > lmax:
+            raise ValueError(f"masks exceed +-{lmax} for {self.mask_bits}-bit masks")
+        if self.mask_bits == 1 and np.count_nonzero(self.masks) != self.masks.size:
             raise ValueError("1-bit masks must be +-1")
         if self.biases.min(initial=0) < BIAS_MIN or self.biases.max(initial=0) > BIAS_MAX:
-            raise ValueError("bias values outside the 12-bit signed range")
+            raise ValueError("biases outside the 12-bit signed range")
 
 
 def quantize_layer(weights: np.ndarray, biases: np.ndarray, mask_bits: int,
@@ -287,7 +287,7 @@ def quantize_layer(weights: np.ndarray, biases: np.ndarray, mask_bits: int,
     stats.bias_saturations = int(np.count_nonzero((braw < BIAS_MIN) | (braw > BIAS_MAX)))
     bq = np.clip(braw, BIAS_MIN, BIAS_MAX).astype(np.int16)
 
-    layer = QuantizedLayer(
+    return QuantizedLayer(
         shape=ConvSpec(out, cin, stride, padding),
         mask_bits=int(mask_bits),
         shift=int(e),
@@ -296,13 +296,10 @@ def quantize_layer(weights: np.ndarray, biases: np.ndarray, mask_bits: int,
         biases=bq,
         stats=stats,
     )
-    layer.validate()
-    return layer
 
 
 def dequantize_layer(layer: QuantizedLayer) -> tuple[np.ndarray, np.ndarray]:
     """Reconstruct float64 (out, in, 3, 3) weights and (out,) biases."""
-    layer.validate()
     step = 2.0 ** (layer.shift - 8)
     alpha_hat = layer.scalars.astype(np.float64) * step
     w = np.multiply(alpha_hat[:, :, None], layer.masks, dtype=np.float64)

@@ -48,11 +48,13 @@ File fixtures:
     at least 1, then row-major uint8 samples; loaded as floats in [0, 1]
     by read_image, written by write_image, under binfile's contracts.
   * ground truth   — one line per query: "query_id: id1 id2 ...".
-  * result lists   — CSV with header "query_id,rank,id,score".
+  * result lists   — CSV with header "query_id,rank,id,score", written by
+    write_results through csv.writer (an id holding a comma is quoted).
 """
 from __future__ import annotations
 
 import copy
+import csv
 import warnings
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
@@ -353,12 +355,16 @@ def read_ground_truth(path) -> dict[str, list[str]]:
     return out
 
 
+def write_results(fh, results: dict[str, list[tuple[str, float]]], bitwise: bool = False) -> None:
+    """Results CSV to an open text file; results maps query_id -> ranked (id, score) pairs."""
+    rows = csv.writer(fh, lineterminator="\n")
+    rows.writerow(("query_id", "rank", "id", "score"))
+    for qid, ranked in results.items():
+        rows.writerows((qid, rank, name, str(int(score)) if bitwise else f"{score:.6f}")
+                       for rank, (name, score) in enumerate(ranked, start=1))
+
+
 def write_results_csv(path, results: dict[str, list[tuple[str, float]]],
                       bitwise: bool = False) -> None:
-    """results maps query_id -> ranked (id, score) pairs."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("query_id,rank,id,score\n")
-        for qid, ranked in results.items():
-            for rank, (name, score) in enumerate(ranked, start=1):
-                text = str(int(score)) if bitwise else f"{score:.6f}"
-                fh.write(f"{qid},{rank},{name},{text}\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_results(fh, results, bitwise)

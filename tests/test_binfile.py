@@ -158,8 +158,10 @@ def _too_large():
     """(field named in the error, save, value): one value one past the range of
     each fixed-width header field, and a QDS1 byte scale and bit threshold
     beyond the float32 range. Unreachable and so left out: the QCM2
-    metadata length (u32), the QFW1 rank (u8; NumPy caps rank at 64) and the
-    QDS1 record count (u32)."""
+    metadata length (u32), the QCM2 mask width and shift (u8, i8; a
+    QuantizedLayer refuses a width outside 1..5 or a shift outside [-8, 7]
+    when built, see test_codec.test_layer_checks_itself_when_built), the
+    QFW1 rank (u8; NumPy caps rank at 64) and the QDS1 record count (u32)."""
     one = _compressed("input 1 3 3\nconv 1 pad=1 tap\n")
     many = dataclasses.replace(
         one, network=parse_network("input 1 3 3\n" + "conv 1 pad=1\n" * 65536),
@@ -172,8 +174,6 @@ def _too_large():
         ("layer 0 header", save_model, _compressed("input 65536 3 3\nconv 1\n")),
         ("layer 0 header", save_model, _compressed("input 1 8 8\nconv 1 stride=256\n")),
         ("layer 0 header", save_model, _compressed("input 1 8 8\nconv 1 pad=256\n")),
-        ("mask_bits", save_model, _compressed("input 1 3 3\nconv 1\n", mask_bits=256)),
-        ("shift 128", save_model, _compressed("input 1 3 3\nconv 1\n", shift=128)),
         ("header (conv count, dense count)", save_float_model, FloatModel(conv=[pair] * 65536)),
         ("header (conv count, dense count)", save_float_model, FloatModel(dense=[pair] * 65536)),
         ("array 0 rank and shape", save_float_model, FloatModel(conv=[(huge, np.zeros(1))])),

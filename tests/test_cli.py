@@ -1,6 +1,7 @@
 """End-to-end command-line flows, exit codes and artifact determinism."""
 
 import builtins
+import csv
 import io
 import os
 import struct
@@ -12,7 +13,7 @@ import pytest
 from qnip.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, dispatch
 from qnip.codec import load_model
 from qnip.datasets import make_brightness_dataset, make_retrieval_corpus, write_corpus, write_labeled_dataset
-from qnip.descriptor import load_descriptors
+from qnip.descriptor import Descriptor, load_descriptors, save_descriptors
 from qnip.engine import calibrate_activation_exponents
 from qnip.network import init_float_model, load_float_model, load_network, save_float_model
 from qnip.ops import rotate90
@@ -327,6 +328,55 @@ def test_extract_index_search_eval_report_flow(ws, capsys):
     assert report.read_text().rstrip("\n") in grid
     assert dispatch(["report", "--eval", str(ws["gt"])]) == EXIT_DATA
     capsys.readouterr()
+
+
+def _small_index(path, ids):
+    rows = np.random.default_rng(8).random((len(ids), 5))
+    save_descriptors(path, {name: Descriptor("real", row / np.linalg.norm(row))
+                            for name, row in zip(ids, rows)})
+
+
+def test_search_prints_and_writes_the_same_csv_rows(tmp_path, capsys):
+    index, out_csv = tmp_path / "index.qds", tmp_path / "hits.csv"
+    _small_index(index, ["1000", "10,01", "1001"])
+    assert dispatch(["search", "--index", str(index), "--query-id", "1000",
+                     "--out", str(out_csv)]) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert printed == out_csv.read_text()
+    assert [len(row) for row in csv.reader(io.StringIO(printed))] == [4, 4, 4]
+    assert '"10,01"' in printed
+
+
+def test_eval_refuses_a_label_that_would_break_its_csv(ws, tmp_path, capsys):
+    # such a row used to reach report as "a,b,real,0.833333" and fail to unpack
+    index = tmp_path / "index.qds"
+    _small_index(index, ["1000", "1001", "1100", "1101", "1200", "1201"])
+    out, results = tmp_path / "eval.csv", tmp_path / "results.csv"
+    argv = ["eval", "--index", str(index), "--ground-truth", str(ws["gt"]),
+            "--out", str(out), "--results", str(results)]
+    assert dispatch(argv + ["--pipeline", "a_b", "--precision", "real"]) == EXIT_OK
+    assert out.read_text().splitlines()[1].startswith("a_b,real,")
+    out.unlink()
+    results.unlink()
+    capsys.readouterr()
+    for option, label in (("--pipeline", "a,b"), ("--precision", "re\nal"),
+                          ("--pipeline", "x\ry")):
+        assert dispatch(argv + [option, label]) == EXIT_USAGE, label
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{option} label {label!r} holds a comma or line break" in captured.err
+        assert not out.exists() and not results.exists()
+
+
+def test_report_names_the_file_and_line_of_a_row_without_three_fields(tmp_path, capsys):
+    evals = tmp_path / "e.csv"
+    for row in ("a,b,real,0.833333", "real,0.5"):
+        evals.write_text(f"pipeline,precision,map\nnip,real,0.5\n\n{row}\n")
+        assert dispatch(["report", "--eval", str(evals)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"{evals}:4: expected 'pipeline,precision,map', "
+                                f"got {row!r}\n")
 
 
 def test_extract_rnip_and_bit_precision(ws, capsys):

@@ -1,5 +1,6 @@
 """Compressed-container codec: ratios, sizes, byte layout, round trips, errors."""
 
+import base64
 import dataclasses
 import hashlib
 import json
@@ -13,7 +14,6 @@ import qnip
 from qnip.codec import (
     CompressedModel,
     CorruptionError,
-    EncodeError,
     FormatError,
     TruncationError,
     UnsupportedVersionError,
@@ -298,37 +298,108 @@ def test_decode_shift_out_of_range():
         decode(bytes(data))
 
 
+def test_decode_rejects_corrupt_layer_headers():
+    # each layer is built as it is read: what ConvSpec, QuantizedLayer or
+    # CompressedModel refuses comes out as a CorruptionError naming the layer
+    net = parse_network("input 2 6 6\nconv 3 pad=1\nconv 2 tap\n")
+    compressed = build_compressed_model(net, init_float_model(net, np.random.default_rng(30)),
+                                        [3, 3])
+    data = encode(compressed)
+    # magic, version, count; layer 0: header, 6 scalars, 6*9*3 mask bits, 3*12 bias bits
+    start = 7 + 8 + 6 + 21 + 5
+    assert struct.unpack_from("<HHBBBb", data, start) == (2, 3, 1, 0, 3,
+                                                          compressed.layers[1].shift)
+    masks = start + 8 + 6
+    for pos, value, match in [
+        (start + 4, 0, "stride must be >= 1"),
+        (start, 0, "channel counts must be positive"),
+        (start + 7, 8, r"shift 8 outside \[-8, 7\]"),
+        (masks, (data[masks] & 0x1F) | 0x80, r"masks exceed \+-3"),  # 3-bit code 100 = -4
+        (start + 5, 1, "geometry .* != network's"),  # padding 1, as the architecture has not
+    ]:
+        corrupt = bytearray(data)
+        corrupt[pos] = value
+        with pytest.raises(CorruptionError, match=f"^layer 1: {match}"):
+            decode(bytes(corrupt))
+
+
+def _split_metadata(data):
+    """(bytes before the metadata length, parsed metadata block) of a QCM2 stream."""
+    start = data.index(b'{"dense"')  # the canonical JSON trailer, after its u32 length
+    return data[:start - 4], json.loads(data[start:])
+
+
+def _with_metadata(head, meta):
+    raw = json.dumps(meta).encode()
+    return head + struct.pack("<I", len(raw)) + raw
+
+
 def test_decode_rejects_reshaped_dense_head():
     # a 3x8 head stored as 6x4 holds the same number of weights; decode
     # must reject it rather than leave the mismatch for inference to find
     rng = np.random.default_rng(28)
     net = parse_network("input 1 4 4\nconv 2 tap\nflatten\ndense 3\n")
     compressed = build_compressed_model(net, init_float_model(net, rng), [1])
-    assert decode(encode(compressed)) == compressed
-    w, _ = compressed.dense[0]
-    reshaped = dataclasses.replace(compressed, dense=[(w.reshape(6, 4), np.zeros(6, np.float32))])
+    data = encode(compressed)
+    assert decode(data) == compressed
+    head, meta = _split_metadata(data)
+    meta["dense"][0].update(shape=[6, 4],
+                            b=base64.b64encode(np.zeros(6, np.float32).tobytes()).decode())
     with pytest.raises(CorruptionError, match="dense head shapes"):
-        decode(encode(reshaped))
+        decode(_with_metadata(head, meta))
 
 
 def test_encode_validates_layers():
-    layer = _hand_layer([2] * 9)  # out of range for m=1
-    with pytest.raises(EncodeError):
-        encode(_hand_model(layer))
+    # validate runs whenever a layer is built, so a mask out of range for
+    # its width is refused before encode could be handed it
+    with pytest.raises(ValueError, match=r"^masks exceed \+-1 for 1-bit masks"):
+        _hand_layer([2] * 9)
 
 
 def test_encode_refuses_non_integer_layer_arrays():
     # float masks used to pass validate and be truncated: 2-bit masks of
-    # 0.9 * (+-1) encoded as all zeros
+    # 0.9 * (+-1) encoded as all zeros. Now the layer is refused when built.
+    layer = _hand_layer([1, -1] * 4 + [1], mask_bits=2)
     for field, value in [("masks", np.full((1, 1, 9), 0.9)),
                          ("scalars", np.array([[200.0]])),
                          ("biases", np.array([1.0]))]:
-        layer = dataclasses.replace(_hand_layer([1, -1] * 4 + [1], mask_bits=2),
-                                    **{field: value})
-        with pytest.raises(ValueError, match=f"{field} must hold integers"):
-            layer.validate()
-        with pytest.raises(EncodeError, match=f"layer 0: {field} must hold integers"):
-            encode(_hand_model(layer))
+        with pytest.raises(ValueError, match=f"^{field} must hold integers"):
+            dataclasses.replace(layer, **{field: value})
+
+
+def test_layer_checks_itself_when_built():
+    # validate runs whenever a layer is built, dataclasses.replace included,
+    # so encode is never handed an invalid one. An int8 mask of -128 passed
+    # as |-128| wraps to -128.
+    layer = _hand_layer([1, -1] * 4 + [1], mask_bits=2)
+    for changes in [dict(masks=np.full((1, 1, 9), -2, np.int8)),
+                    dict(masks=np.full((1, 1, 9), -128, np.int8), mask_bits=5),
+                    dict(scalars=np.array([[256]], np.int16)),
+                    dict(biases=np.array([2048], np.int16)),
+                    dict(mask_bits=256),
+                    dict(shift=128)]:
+        field = next(iter(changes))
+        with pytest.raises(ValueError, match=f"^{field} "):
+            dataclasses.replace(layer, **changes)
+
+
+def test_compressed_model_checks_itself_against_its_network():
+    net = parse_network("input 1 4 4\nconv 2 tap\nflatten\ndense 3\n")
+    built = build_compressed_model(net, init_float_model(net, np.random.default_rng(29)), [1])
+    layer, ((w, b),) = built.layers[0], built.dense
+    with pytest.raises(ValueError, match="^dense head shapes"):
+        CompressedModel(net, [layer])
+    for match, changes in [
+        ("^model has 2 quantized layers, network has 1$", dict(layers=[layer, layer])),
+        ("^model has 0 quantized layers", dict(layers=[])),
+        ("^layer 0: geometry", dict(layers=[dataclasses.replace(layer, shape=ConvSpec(2, 1, 2))])),
+        ("^layer 0: geometry", dict(network=parse_network("input 1 4 4\nconv 2 pad=1\n"))),
+        ("^dense head shapes", dict(dense=[])),
+        ("^dense head shapes", dict(dense=[(w.reshape(6, 4), np.zeros(6, np.float32))])),
+        ("^dense head shapes", dict(dense=[(w, b[:2])])),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(built, **changes)
 
 
 def test_build_compressed_model_checks_profile_length():
@@ -393,11 +464,8 @@ def test_load_model_errors_name_the_path(tmp_path):
 def test_decode_rejects_mistyped_metadata():
     # valid JSON of the wrong shape; a non-string network used to escape
     # as AttributeError, past the CLI's data-error handler
-    data = encode(_hand_model(_hand_layer([1] * 9)))
-    start = data.index(b'{"dense"')  # the canonical JSON trailer, after its u32 length
-    head, meta = data[:start - 4], json.loads(data[start:])
+    head, meta = _split_metadata(encode(_hand_model(_hand_layer([1] * 9))))
     for key, value in [("network", 5), ("network", {"a": 1}), ("dense", [5]), ("dense", 5),
                        ("source", 5)]:
-        raw = json.dumps({**meta, key: value}).encode()
         with pytest.raises(CorruptionError, match="bad metadata block"):
-            decode(head + struct.pack("<I", len(raw)) + raw)
+            decode(_with_metadata(head, {**meta, key: value}))

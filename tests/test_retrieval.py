@@ -528,6 +528,10 @@ def test_write_results_csv(tmp_path):
     assert lines[2] == "q1,2,b,0.500000"
     write_results_csv(path, {"q1": [("a", 3)]}, bitwise=True)
     assert path.read_text().splitlines()[1] == "q1,1,a,3"
+    # the id of the file 10,01.img stays one field
+    write_results_csv(path, {"1000": [("10,01", 1.0), ("1002", 0.25)]})
+    assert path.read_text() == ('query_id,rank,id,score\n1000,1,"10,01",1.000000\n'
+                                "1000,2,1002,0.250000\n")
 
 
 def test_zero_sized_rasters_are_refused(tmp_path):
