@@ -184,6 +184,11 @@ def _cmd_quantize(args) -> int:
     _say(f"wrote {args.out}: {len(compressed.layers)} conv layers, "
          f"ratio {codec.model_ratio(net, profile):.2f}, "
          f"{sizes.compressed_bytes} bytes")
+    stats = [layer.stats for layer in compressed.layers]
+    _say(f"saturations: {sum(s.scalar_saturations for s in stats)} scalars, "
+         f"{sum(s.bias_saturations for s in stats)} biases; "
+         f"{sum(s.shift_saturated for s in stats)} shift-saturated and "
+         f"{sum(s.degenerate for s in stats)} degenerate layers")
     return EXIT_OK
 
 
@@ -353,7 +358,10 @@ def _cmd_report(args) -> int:
             if len(fields) != 3:
                 raise ValueError(f"{path}:{n}: expected 'pipeline,precision,map', got {line!r}")
             pipeline, precision, value = fields
-            cells[(precision, pipeline)] = float(value)
+            try:
+                cells[(precision, pipeline)] = float(value)
+            except ValueError:
+                raise ValueError(f"{path}:{n}: mAP {value!r} is not a number") from None
             if pipeline not in pipelines:
                 pipelines.append(pipeline)
     out = ["mAP by descriptor precision and pipeline"]

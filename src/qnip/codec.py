@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import base64
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -169,7 +170,8 @@ def model_sizes(net: NetworkDefinition, profile, policy: str = DEFAULT_POLICY,
 class CompressedModel:
     """Immutable: layers and dense pairs become tuples, every array read-only.
     Building one (replace included) raises ValueError unless its layers and
-    dense head match the network. It builds one dequantized weight set on first
+    dense head match the network, its policy is one of POLICIES and its
+    source checksum is a string. It builds one dequantized weight set on first
     use and keeps it while it lives; a dataclasses.replace copy builds its own.
     Threads racing on first use may each build identical weights (no lock on
     Python 3.12+); one is kept."""
@@ -195,6 +197,10 @@ class CompressedModel:
         if stored != expected:
             raise ValueError(
                 f"dense head shapes {stored} disagree with architecture {expected}")
+        if self.policy not in POLICIES:
+            raise ValueError(f"unknown policy {self.policy!r}, expected one of {POLICIES}")
+        if not isinstance(self.source_checksum, str):
+            raise ValueError(f"source checksum {self.source_checksum!r} is not a string")
         for w, b in self.dense:
             w.flags.writeable = b.flags.writeable = False
 
@@ -245,12 +251,20 @@ def quantize_conv_layers(net: NetworkDefinition, conv, profile, policy: str = DE
 def build_compressed_model(net: NetworkDefinition, model: FloatModel, profile,
                            policy: str = DEFAULT_POLICY,
                            shift_scope: str = "layer") -> CompressedModel:
-    """Container of quantize_conv_layers' layers; no profile entry may be None."""
+    """Container of quantize_conv_layers' layers; no profile entry may be None.
+
+    The source checksum (model_checksum, a sha256 over the float weights) is
+    hashed on one worker thread while this thread quantizes; hashlib and
+    NumPy both release the GIL, so the two overlap. The worker is joined
+    before this returns or raises, and an error from either side propagates.
+    """
     check_model_matches(net, model)
-    layers = quantize_conv_layers(net, model.conv, _checked_profile(net, profile), policy,
-                                  shift_scope)
-    dense = [(np.asarray(w, np.float32), np.asarray(b, np.float32)) for w, b in model.dense]
-    return CompressedModel(net, layers, dense, policy, model_checksum(model))
+    profile = _checked_profile(net, profile)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        checksum = pool.submit(model_checksum, model)
+        layers = quantize_conv_layers(net, model.conv, profile, policy, shift_scope)
+        dense = [(np.asarray(w, np.float32), np.asarray(b, np.float32)) for w, b in model.dense]
+        return CompressedModel(net, layers, dense, policy, checksum.result())
 
 
 def dequantized_float_model(model: CompressedModel) -> FloatModel:
@@ -368,11 +382,9 @@ def _decode(rd: Reader) -> CompressedModel:
             dense.append((w, np.frombuffer(base64.b64decode(entry["b"]), np.float32)))
     except (KeyError, ValueError, TypeError, AttributeError) as err:  # any JSON shape
         raise CorruptionError(f"bad metadata block: {err}") from err
-    if policy not in POLICIES:
-        raise CorruptionError(f"unknown policy {policy!r} in metadata")
     try:
         return CompressedModel(net, layers, dense, policy, source)
-    except ValueError as err:  # the stream disagrees with its metadata architecture
+    except ValueError as err:  # metadata the container type refuses
         raise CorruptionError(str(err)) from err
 
 

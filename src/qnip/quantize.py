@@ -19,6 +19,16 @@ Two 1-bit mask rules are provided:
 For m >= 2 the grid is uniform and max-scaled: L = 2**(m-1) - 1,
 alpha = max|w| / L, M_l = clamp(round(w_l / alpha), -L, L). Rounding is
 always half-away-from-zero.
+
+layer_alphas_masks evaluates a layer in blocks of BLOCK_KERNELS kernels
+through buffers reused from block to block, so a block's weights and its
+temporaries stay in L2 cache. Its kernel mean adds the nine column views
+of a block in the order np.add.reduce takes for nine terms,
+(((w0+w1) + (w2+w3)) + ((w4+w5) + (w6+w7))) + w8, and then divides by 9,
+so every alpha has the bits of w.mean(axis=1) over the (K, 9) matrix; the
+multi-bit max is a column max. Finiteness is checked on a block's alphas,
+which any inf or NaN weight makes non-finite; the weights themselves are
+scanned only when an alpha is.
 """
 from __future__ import annotations
 
@@ -38,6 +48,9 @@ SHIFT_MIN, SHIFT_MAX = -8, 7
 SCALAR_MAX = 255
 BIAS_MIN, BIAS_MAX = -2048, 2047
 MASK_BITS_RANGE = (1, 5)
+# 16k kernels of nine float64 weights fill 1.2 MB, so a block and its
+# buffers stay in a core's L2 cache
+BLOCK_KERNELS = 16384
 
 
 def mask_levels(mask_bits: int) -> int:
@@ -114,40 +127,71 @@ def dequantize_bias(q: int, e: int) -> float:
     return float(q) * 2.0 ** (e - 8)
 
 
-def _kernel_matrix(weights: np.ndarray, what: str) -> np.ndarray:
+def _kernel_matrix(weights: np.ndarray) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64)
-    if w.ndim >= 1 and w.shape[-1] == KERNEL_WEIGHTS:
-        flat = w.reshape(-1, KERNEL_WEIGHTS)
-    elif w.ndim >= 2 and w.shape[-2:] == (3, 3):
-        flat = w.reshape(-1, KERNEL_WEIGHTS)
-    else:
-        raise ValueError(f"{what} must end in 9 weights or a 3x3 block, got shape {w.shape}")
-    if not np.all(np.isfinite(flat)):
-        raise ValueError(f"{what} contains non-finite values")
-    return flat
+    if w.shape[-1:] == (KERNEL_WEIGHTS,) or w.shape[-2:] == (3, 3):
+        return w.reshape(-1, KERNEL_WEIGHTS)
+    raise ValueError(f"weights must end in 9 weights or a 3x3 block, got shape {w.shape}")
 
 
-def _alphas_masks_1bit(flat: np.ndarray, policy: str) -> tuple[np.ndarray, np.ndarray]:
+def _kernel_means(cols: np.ndarray, out: np.ndarray, tmp: np.ndarray,
+                  tmp2: np.ndarray) -> np.ndarray:
+    """Means of the kernels whose nine weights are the rows of cols (9, n),
+    summed in np.add.reduce's pairwise order for nine terms."""
+    np.add(cols[0], cols[1], out=out)
+    np.add(cols[2], cols[3], out=tmp)
+    out += tmp
+    np.add(cols[4], cols[5], out=tmp)
+    np.add(cols[6], cols[7], out=tmp2)
+    tmp += tmp2
+    out += tmp
+    out += cols[8]
+    out /= KERNEL_WEIGHTS
+    return out
+
+
+def _check_finite(alphas: np.ndarray, weights: np.ndarray) -> None:
+    # A finite weight set whose alphas overflow passes here; compute_layer_shift refuses it.
+    if not np.isfinite(alphas).all() and not np.isfinite(weights).all():
+        raise ValueError("weights contains non-finite values")
+
+
+def _block_1bit(w, policy, alphas, masks, buf, sums) -> None:
+    """Fill one block's alphas and +-1 masks; buf (n, 9) and sums (3, n) are scratch."""
     if policy == "xnor-abs-mean":
         t = 0.0
-        alphas = np.abs(flat).mean(axis=1)
-    elif policy == "literal-mean":
-        t = flat.mean(axis=1, keepdims=True)
-        alphas = np.abs(flat - t).mean(axis=1)
+        np.abs(w, out=buf)
     else:
-        raise ValueError(f"unknown 1-bit policy {policy!r}, expected one of {POLICIES}")
-    return alphas, (flat > t).astype(np.int8) * 2 - 1
+        # inf - inf from non-finite weights is refused by _check_finite below;
+        # finite weights only get there after an overflow, which is reported
+        with np.errstate(invalid="ignore"):
+            t = _kernel_means(w.T, sums[0], sums[1], sums[2])[:, None]
+            np.subtract(w, t, out=buf)
+        np.abs(buf, out=buf)
+    _kernel_means(buf.T, alphas, sums[1], sums[2])
+    _check_finite(alphas, w)
+    np.greater(w, t, out=masks.view(np.bool_))
+    masks *= 2
+    masks -= 1
 
 
-def _alphas_masks_multibit(flat: np.ndarray, mask_bits: int) -> tuple[np.ndarray, np.ndarray]:
-    lmax = mask_levels(mask_bits)
-    alphas = np.abs(flat).max(axis=1) / lmax
-    masks = np.zeros(flat.shape, dtype=np.int8)
-    live = alphas > 0.0
-    if np.any(live):
-        scaled = round_half_away(flat[live] / alphas[live, None])
-        masks[live] = np.clip(scaled, -lmax, lmax).astype(np.int8)
-    return alphas, masks
+def _block_multibit(w, lmax, alphas, masks, buf) -> None:
+    """Fill one block's alphas and masks in -lmax..lmax; buf (n, 9) is scratch."""
+    np.abs(w, out=buf)
+    np.maximum(buf[:, 0], buf[:, 1], out=alphas)
+    for j in range(2, KERNEL_WEIGHTS):
+        np.maximum(alphas, buf[:, j], out=alphas)
+    alphas /= lmax
+    _check_finite(alphas, w)
+    # round(w / alpha) half away is |w| / alpha rounded up from .5, given w's
+    # sign; alpha is 0 only when max|w| / lmax underflows, so those |w| stay
+    # below 0.5 and round to 0 undivided
+    np.divide(buf, alphas[:, None], out=buf, where=alphas[:, None] > 0.0)
+    buf += 0.5
+    np.floor(buf, out=buf)
+    np.minimum(buf, lmax, out=buf)
+    np.copysign(buf, w, out=buf)
+    np.copyto(masks, buf, casting="unsafe")
 
 
 def layer_alphas_masks(weights, mask_bits: int,
@@ -155,13 +199,26 @@ def layer_alphas_masks(weights, mask_bits: int,
     """Real-valued alphas and integer masks for a batch of kernels.
 
     Accepts (..., 9) or (..., 3, 3); returns (K,) alphas and (K, 9) masks
-    for the flattened kernel batch.
+    for the flattened kernel batch, evaluated BLOCK_KERNELS kernels at a time.
     """
-    flat = _kernel_matrix(weights, "weights")
-    if mask_bits == 1:
-        return _alphas_masks_1bit(flat, policy)
-    mask_levels(mask_bits)  # range check
-    return _alphas_masks_multibit(flat, mask_bits)
+    flat = _kernel_matrix(weights)
+    if mask_bits == 1 and policy not in POLICIES:
+        raise ValueError(f"unknown 1-bit policy {policy!r}, expected one of {POLICIES}")
+    lmax = mask_levels(mask_bits)
+    count = flat.shape[0]
+    alphas = np.empty(count)
+    masks = np.empty((count, KERNEL_WEIGHTS), np.int8)
+    size = min(count, BLOCK_KERNELS)
+    work, sums = np.empty((size, KERNEL_WEIGHTS)), np.empty((3, size))
+    for start in range(0, count, BLOCK_KERNELS):
+        stop = start + BLOCK_KERNELS
+        w = flat[start:stop]
+        n = w.shape[0]
+        if mask_bits == 1:
+            _block_1bit(w, policy, alphas[start:stop], masks[start:stop], work[:n], sums[:, :n])
+        else:
+            _block_multibit(w, lmax, alphas[start:stop], masks[start:stop], work[:n])
+    return alphas, masks
 
 
 def quantize_kernel_1bit(w, policy: str = DEFAULT_POLICY) -> tuple[float, np.ndarray]:
@@ -280,7 +337,6 @@ def quantize_layer(weights: np.ndarray, biases: np.ndarray, mask_bits: int,
     scalars = np.clip(raw, 0, SCALAR_MAX).astype(np.uint8)
 
     if mask_bits >= 2:
-        masks = masks.copy()
         masks[scalars == 0] = 0  # dead kernels carry no payload
 
     braw = round_half_away(b * 2.0 ** (8 - e))
@@ -292,7 +348,7 @@ def quantize_layer(weights: np.ndarray, biases: np.ndarray, mask_bits: int,
         mask_bits=int(mask_bits),
         shift=int(e),
         scalars=scalars.reshape(out, cin),
-        masks=masks.reshape(out, cin, KERNEL_WEIGHTS).astype(np.int8),
+        masks=masks.reshape(out, cin, KERNEL_WEIGHTS),
         biases=bq,
         stats=stats,
     )

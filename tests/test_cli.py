@@ -4,6 +4,7 @@ import builtins
 import csv
 import io
 import os
+import re
 import struct
 from pathlib import Path
 
@@ -188,6 +189,26 @@ def test_quantize_inspect_infer_flow(ws, capsys):
     assert rc == EXIT_OK
     assert qcm.read_bytes() == first
     capsys.readouterr()
+
+
+def test_quantize_prints_the_quantizer_saturations(ws, tmp_path, capsys):
+    # layer 1's alphas of 200 clamp the shift at 7 and all 12 scalars at 255;
+    # layer 2 is all zeros (degenerate, shift -8), so its 6 biases clamp
+    net = load_network(ws["net"])
+    model = init_float_model(net, np.random.default_rng(0))
+    (w1, b1), (w2, b2) = model.conv
+    model.conv = [(np.full_like(w1, 200.0), np.zeros_like(b1)),
+                  (np.zeros_like(w2), np.full_like(b2, 100.0))]
+    weights, qcm = tmp_path / "loud.qfw", tmp_path / "loud.qcm"
+    save_float_model(weights, model)
+    assert dispatch(["quantize", "--net", str(ws["net"]), "--weights", str(weights),
+                     "--profile", "1,1", "--out", str(qcm)]) == EXIT_OK
+    wrote, stats = capsys.readouterr().err.splitlines()
+    assert re.fullmatch(rf"wrote {re.escape(str(qcm))}: 2 conv layers, ratio \d+\.\d\d, "
+                        rf"{len(qcm.read_bytes())} bytes", wrote)
+    assert stats == "saturations: 12 scalars, 6 biases; 1 shift-saturated and 1 degenerate layers"
+    layers = load_model(qcm).layers
+    assert [layer.shift for layer in layers] == [7, -8]
 
 
 def test_infer_reads_the_weights_file_once(ws, monkeypatch, capsys):
@@ -377,6 +398,15 @@ def test_report_names_the_file_and_line_of_a_row_without_three_fields(tmp_path, 
         assert captured.out == ""
         assert captured.err == (f"{evals}:4: expected 'pipeline,precision,map', "
                                 f"got {row!r}\n")
+
+
+def test_report_names_the_file_and_line_of_a_map_that_is_not_a_number(tmp_path, capsys):
+    evals = tmp_path / "e.csv"
+    evals.write_text("pipeline,precision,map\nnip,real,0.5\nnip,real,x\n")
+    assert dispatch(["report", "--eval", str(evals)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{evals}:3: mAP 'x' is not a number\n"
 
 
 def test_extract_rnip_and_bit_precision(ws, capsys):

@@ -6,6 +6,7 @@ import hashlib
 import json
 import re
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -402,6 +403,19 @@ def test_compressed_model_checks_itself_against_its_network():
             dataclasses.replace(built, **changes)
 
 
+def test_compressed_model_checks_its_policy_and_checksum_type():
+    model = _hand_model(_hand_layer([1] * 9))
+    with pytest.raises(ValueError, match="^unknown policy 'bogus'"):
+        dataclasses.replace(model, policy="bogus")
+    with pytest.raises(ValueError, match="^source checksum 5 is not a string$"):
+        dataclasses.replace(model, source_checksum=5)
+    # decode reports the refused policy as corruption, still naming it
+    head, meta = _split_metadata(encode(model))
+    for policy in ("bogus", 5):
+        with pytest.raises(CorruptionError, match=f"^unknown policy {policy!r}"):
+            decode(_with_metadata(head, {**meta, "policy": policy}))
+
+
 def test_build_compressed_model_checks_profile_length():
     rng = np.random.default_rng(24)
     net = parse_network("input 1 6 6\nconv 2 tap\nconv 3\n")
@@ -421,6 +435,60 @@ def test_build_compressed_model_records_source_checksum():
     compressed = build_compressed_model(net, model, [4])
     assert compressed.source_checksum == model_checksum(model)
     assert decode(encode(compressed)).source_checksum == model_checksum(model)
+
+
+def test_build_compressed_model_hashes_on_a_worker_it_joins(monkeypatch):
+    from qnip import codec
+    from qnip.network import FloatModel, model_checksum
+
+    net = load_network(qnip.config_path("toynet"))
+    model = init_float_model(net, np.random.default_rng(32))
+    threads = threading.active_count()
+    built = build_compressed_model(net, model, [1, 2, 3])
+    assert built.source_checksum == model_checksum(model)
+    assert threading.active_count() == threads
+
+    # an error on either side propagates, and no worker outlives the call
+    (w, b), *rest = model.conv
+    w = w.copy()
+    w[0, 0, 1, 1] = np.inf
+    with pytest.raises(ValueError, match="weights contains non-finite values"):
+        build_compressed_model(net, FloatModel([(w, b), *rest], model.dense), [1, 2, 3])
+    assert threading.active_count() == threads
+
+    def failing_checksum(_):
+        raise RuntimeError("checksum failed")
+
+    monkeypatch.setattr(codec, "model_checksum", failing_checksum)
+    with pytest.raises(RuntimeError, match="checksum failed"):
+        build_compressed_model(net, model, [1, 2, 3])
+    assert threading.active_count() == threads
+
+
+# sha256 of encode(...) at the VGG16 golden's weights for the shift scope and
+# policy cases the test above leaves out; toynet covers 1-bit and multi-bit
+SCOPE_GOLDEN = {
+    ("vgg16", "3x7,1x6", "global", "xnor-abs-mean"):
+        "bd6be1b9cb4a4827ef28b1c5600177974b1c9fbadc05362e769e79dabc145897",
+    ("vgg16", "3x7,1x6", "global", "literal-mean"):
+        "f3f8a907779497033a8262fd3bcd817d9b9a596b86a1a9ec2e11c1cb94596493",
+    ("toynet", "1,2,3", "layer", "xnor-abs-mean"):
+        "34dacb02666388b680d5a35c39148dbe8a47b481c0e071e83a7dfd8a1319d12c",
+    ("toynet", "1,2,3", "layer", "literal-mean"):
+        "6516c29c85772db6ffb7f83afebbff401b7a191e76b257c64a684063f4ed73a2",
+    ("toynet", "1,2,3", "global", "xnor-abs-mean"):
+        "471aca2bb2b530adbda70a6de59e2cdabd8df6f22167786430f1697bee9acfaf",
+    ("toynet", "1,2,3", "global", "literal-mean"):
+        "233d4d1a9233cf54b286bf8c991724200dd5b4746b78e93f8dc88a80e5917203",
+}
+
+
+def test_encode_golden_bytes_each_shift_scope():
+    for (name, profile, scope, policy), digest in SCOPE_GOLDEN.items():
+        net = load_network(qnip.config_path(name))
+        model = init_float_model(net, np.random.default_rng(1905))
+        compressed = build_compressed_model(net, model, parse_profile(profile), policy, scope)
+        assert hashlib.sha256(encode(compressed)).hexdigest() == digest, (name, scope, policy)
 
 
 def test_global_shift_scope_shares_shift():

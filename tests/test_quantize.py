@@ -9,9 +9,12 @@ from qnip.network import ConvSpec
 from qnip.quantize import (
     BIAS_MAX,
     BIAS_MIN,
+    BLOCK_KERNELS,
+    POLICIES,
     SCALAR_MAX,
     SHIFT_MAX,
     SHIFT_MIN,
+    QuantStats,
     compute_layer_shift,
     dequantize_bias,
     dequantize_layer,
@@ -304,3 +307,109 @@ def test_global_shift_is_the_largest_layer_shift():
     # no positive alpha anywhere: the per-layer rule's degenerate shift
     assert global_shift([np.zeros((2, 3, 3, 3))], [1]) == SHIFT_MIN
     assert global_shift([big], [None]) == SHIFT_MIN
+
+
+# -- the blocked quantizer against the per-row formulas it replaces ----------
+
+def _row_alphas_masks(flat, mask_bits, policy):
+    """layer_alphas_masks as whole-matrix row reductions (the pre-block code)."""
+    if mask_bits == 1:
+        if policy == "xnor-abs-mean":
+            t, alphas = 0.0, np.abs(flat).mean(axis=1)
+        else:
+            t = flat.mean(axis=1, keepdims=True)
+            alphas = np.abs(flat - t).mean(axis=1)
+        return alphas, (flat > t).astype(np.int8) * 2 - 1
+    lmax = mask_levels(mask_bits)
+    alphas = np.abs(flat).max(axis=1) / lmax
+    masks = np.zeros(flat.shape, np.int8)
+    live = alphas > 0.0
+    masks[live] = np.clip(round_half_away(flat[live] / alphas[live, None]), -lmax, lmax)
+    return alphas, masks
+
+
+def _row_layer(weights, biases, mask_bits, policy, shift_override):
+    """(shift, scalars, masks, biases, stats) by the per-row formulas."""
+    flat = weights.reshape(-1, 9)
+    alphas, masks = _row_alphas_masks(flat, mask_bits, policy)
+    auto = compute_layer_shift(alphas)
+    e = auto.e if shift_override is None else shift_override
+    saturated = auto.saturated if shift_override is None else bool(
+        alphas.max() >= 2.0 ** e and alphas.max() > 0)
+    raw = round_half_away(alphas * 2.0 ** (8 - e))
+    scalars = np.clip(raw, 0, SCALAR_MAX).astype(np.uint8)
+    if mask_bits > 1:
+        masks[scalars == 0] = 0
+    braw = round_half_away(biases * 2.0 ** (8 - e))
+    stats = QuantStats(int(np.count_nonzero(raw > SCALAR_MAX)),
+                       int(np.count_nonzero((braw < BIAS_MIN) | (braw > BIAS_MAX))),
+                       saturated, auto.degenerate)
+    return e, scalars, masks, np.clip(braw, BIAS_MIN, BIAS_MAX).astype(np.int16), stats
+
+
+def _awkward_kernels(rng, count, mask_bits):
+    """Kernels with dead rows, -0.0 weights and exact .5 ties of w / alpha."""
+    scale = 2.0 ** rng.integers(-6, 3, (count, 1))
+    w = rng.normal(size=(count, 9)) * scale
+    lmax = mask_levels(mask_bits)
+    ties = rng.random(count) < 0.3      # half-integer multiples of a power-of-two alpha
+    halves = rng.integers(-2 * lmax, 2 * lmax + 1, (count, 9)) / 2.0
+    halves[:, 0] = lmax
+    w[ties] = (halves * scale)[ties]
+    w[rng.random(count) < 0.1] = 0.0    # dead kernels
+    w[rng.random(count) < 0.05] = 1.5   # constant kernels: every weight ties the mean
+    w[rng.random((count, 9)) < 0.05] = -0.0
+    return w
+
+
+@pytest.mark.parametrize("count", [1, 37, BLOCK_KERNELS, BLOCK_KERNELS + 1])
+def test_blocked_alphas_masks_have_the_bits_of_the_row_formulas(count):
+    rng = np.random.default_rng(count)
+    for m in (1, 2, 3, 4, 5):
+        flat = _awkward_kernels(rng, count, m)
+        for policy in (POLICIES if m == 1 else POLICIES[:1]):
+            alphas, masks = layer_alphas_masks(flat, m, policy)
+            want_alphas, want_masks = _row_alphas_masks(flat, m, policy)
+            assert alphas.dtype == np.float64 and masks.dtype == np.int8
+            assert np.array_equal(alphas.view(np.uint64), want_alphas.view(np.uint64)), (m, policy)
+            assert np.array_equal(masks, want_masks), (m, policy)
+
+
+@pytest.mark.parametrize("shift_override", [None, -3])
+def test_quantize_layer_matches_the_row_formulas_with_equal_stats(shift_override):
+    rng = np.random.default_rng(40)
+    out, cin = 3, BLOCK_KERNELS // 3 + 2   # K = BLOCK_KERNELS + 6: two blocks
+    saturations = 0
+    for m in (1, 2, 3, 4, 5):
+        weights = _awkward_kernels(rng, out * cin, m).reshape(out, cin, 3, 3)
+        biases = np.array([0.0, 3.0, -900.0])
+        for policy in (POLICIES if m == 1 else POLICIES[:1]):
+            layer = quantize_layer(weights, biases, m, policy, shift_override=shift_override)
+            e, scalars, masks, bq, stats = _row_layer(weights, biases, m, policy, shift_override)
+            assert layer.shift == e
+            assert np.array_equal(layer.scalars, scalars.reshape(out, cin))
+            assert np.array_equal(layer.masks, masks.reshape(out, cin, 9))
+            assert np.array_equal(layer.biases, bq)
+            assert layer.stats == stats, (m, policy)
+            saturations += stats.scalar_saturations
+    assert (saturations > 0) == (shift_override is not None)  # -3 clamps scalars
+
+
+@pytest.mark.parametrize("errors", [{}, {"all": "raise", "under": "ignore"}])
+def test_non_finite_weights_and_overflowing_alphas_keep_their_errors(errors):
+    # a non-finite weight in the second block is found from its alpha, with
+    # no floating-point warning first, under default and raising error states
+    for bad in (np.nan, np.inf, -np.inf):
+        w = np.random.default_rng(41).normal(size=(BLOCK_KERNELS + 1, 9))
+        w[-1, 4] = bad
+        for m in (1, 2, 3, 4, 5):
+            for policy in (POLICIES if m == 1 else POLICIES[:1]):
+                with np.errstate(**errors), pytest.raises(
+                        ValueError, match="weights contains non-finite values"):
+                    quantize_layer(w.reshape(-1, 1, 3, 3), np.zeros(len(w)), m, policy)
+    # finite weights whose 1-bit alpha overflows reach the shift rule
+    huge = np.full((2, 1, 3, 3), 1e308)
+    for policy in POLICIES:
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="alphas must be finite and non-negative"):
+            quantize_layer(huge, np.zeros(2), 1, policy)
