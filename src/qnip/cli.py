@@ -184,12 +184,17 @@ def _cmd_quantize(args) -> int:
     _say(f"wrote {args.out}: {len(compressed.layers)} conv layers, "
          f"ratio {codec.model_ratio(net, profile):.2f}, "
          f"{sizes.compressed_bytes} bytes")
-    stats = [layer.stats for layer in compressed.layers]
+    _say_saturations(compressed)
+    return EXIT_OK
+
+
+def _say_saturations(model: codec.CompressedModel) -> None:
+    """The quantizer's QuantStats, summed over the container's layers."""
+    stats = [layer.stats for layer in model.layers]
     _say(f"saturations: {sum(s.scalar_saturations for s in stats)} scalars, "
          f"{sum(s.bias_saturations for s in stats)} biases; "
          f"{sum(s.shift_saturated for s in stats)} shift-saturated and "
          f"{sum(s.degenerate for s in stats)} degenerate layers")
-    return EXIT_OK
 
 
 def _inspect_lines(net, profile, policy, checksum, layers=None):
@@ -267,6 +272,7 @@ def _cmd_retrain(args) -> int:
         train.write_metrics_csv(args.metrics, result.metrics)
     last = result.metrics[-1]
     _say(f"retrained {args.epochs} epochs: loss {last.loss:.4f}, top1 {last.top1:.4f}")
+    _say_saturations(result.model)
     return EXIT_OK
 
 

@@ -373,8 +373,6 @@ def _decode(rd: Reader) -> CompressedModel:
         net = parse_network(meta["network"])
         policy = meta["policy"]
         source = meta["source"]
-        if not isinstance(source, str):
-            raise TypeError(f"source {source!r} is not a string")
         dense = []
         for entry in meta["dense"]:
             o, i = (int(v) for v in entry["shape"])

@@ -37,15 +37,23 @@ def conv_output_hw(h: int, w: int, stride: int = 1, padding: int = 0) -> tuple[i
     return h_out, w_out
 
 
-def im2col(x: np.ndarray, stride: int = 1, padding: int = 0) -> tuple[np.ndarray, tuple[int, int]]:
+def im2col(x: np.ndarray, stride: int = 1, padding: int = 0,
+           out: np.ndarray | None = None) -> tuple[np.ndarray, tuple[int, int]]:
     """Unfold 3x3 windows into a (C*9, H_out*W_out) matrix.
 
     Rows are ordered channel-major then kernel-row-major, matching
     weights.reshape(out, in*9); columns scan output pixels row-major.
+    Given out, a C-contiguous array of that shape and x's dtype, the
+    matrix is written into it (every element) and out is returned.
     """
     _require_chw(x)
     c = x.shape[0]
     h_out, w_out = conv_output_hw(x.shape[1], x.shape[2], stride, padding)
+    shape = (c * KERNEL_WEIGHTS, h_out * w_out)
+    if out is not None and (out.shape != shape or out.dtype != x.dtype
+                            or not out.flags.c_contiguous):
+        raise ShapeError(f"out must be a C-contiguous {shape} {x.dtype} array, "
+                         f"got {out.shape} {out.dtype}")
     if padding:  # a zero frame and one slice copy: np.pad's generic path costs more
         framed = np.zeros((c, x.shape[1] + 2 * padding, x.shape[2] + 2 * padding), x.dtype)
         framed[:, padding:-padding, padding:-padding] = x
@@ -56,21 +64,35 @@ def im2col(x: np.ndarray, stride: int = 1, padding: int = 0) -> tuple[np.ndarray
         shape=(c, h_out, w_out, KERNEL_SIZE, KERNEL_SIZE),
         strides=(s0, s1 * stride, s2 * stride, s1, s2),
         writeable=False,
-    )
-    cols = windows.transpose(0, 3, 4, 1, 2).reshape(c * KERNEL_WEIGHTS, h_out * w_out)
-    return np.ascontiguousarray(cols), (h_out, w_out)
+    ).transpose(0, 3, 4, 1, 2)
+    if out is None:
+        return np.ascontiguousarray(windows.reshape(shape)), (h_out, w_out)
+    out.reshape(windows.shape)[...] = windows
+    return out, (h_out, w_out)
 
 
 def col2im(cols: np.ndarray, in_shape: tuple[int, int, int],
-           stride: int = 1, padding: int = 0) -> np.ndarray:
-    """Scatter-add the adjoint of im2col back onto a C,H,W tensor."""
+           stride: int = 1, padding: int = 0, out: np.ndarray | None = None) -> np.ndarray:
+    """Scatter-add the adjoint of im2col back onto a C,H,W tensor.
+
+    The sums run on a zero-bordered (C, H+2p, W+2p) frame, and the result is
+    its interior. Given out, a float64 array of the frame's shape, that
+    frame is zeroed and used, and the result is a view of it.
+    """
     c, h, w = in_shape
     if cols.ndim != 2 or cols.shape[0] != c * KERNEL_WEIGHTS:
         raise ShapeError(f"cols shape {cols.shape} does not match input {in_shape}")
     h_out, w_out = conv_output_hw(h, w, stride, padding)
     if cols.shape[1] != h_out * w_out:
         raise ShapeError(f"cols has {cols.shape[1]} columns, expected {h_out * w_out}")
-    padded = np.zeros((c, h + 2 * padding, w + 2 * padding))
+    shape = (c, h + 2 * padding, w + 2 * padding)
+    if out is None:
+        padded = np.zeros(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise ShapeError(f"out must be a {shape} float64 array, got {out.shape} {out.dtype}")
+    else:
+        padded = out
+        padded.fill(0.0)
     blocks = cols.reshape(c, KERNEL_SIZE, KERNEL_SIZE, h_out, w_out)
     for ki in range(KERNEL_SIZE):
         for kj in range(KERNEL_SIZE):

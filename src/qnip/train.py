@@ -15,6 +15,17 @@ outputs it records, routes each pool window's gradient to its first max by
 equality masks on strided slices, and computes no gradient for the image.
 Gradients and SGD updates run over one flat list in FloatModel.arrays order.
 
+Each _sgd call owns one workspace of per-layer float64 buffers, allocated on
+first use and reused for every sample and for the end-of-epoch scoring pass:
+each conv's zero-bordered input frame, cols matrix and GEMM output, each
+pool's output, and on the way back each conv's dpre, weight gradient, dcols
+and col2im frame, and each pool's input gradient. The col2im frame is zeroed
+on each use; every other buffer is overwritten whole, and a frame's border
+is never written. So a reused buffer changes no bit, and the workspace
+dies with its _sgd call. Conv weight gradients alias the workspace, and
+_sgd adds them into its batch sums before the next sample. Other callers
+get a fresh workspace per call, so fresh arrays.
+
 Everything is deterministic given TrainConfig.seed: initialization draws
 from default_rng([seed, 0]), epoch shuffles from default_rng([seed, 1]).
 """
@@ -22,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
+from itertools import count, islice
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -84,37 +95,70 @@ def write_metrics_csv(path, metrics: Sequence[EpochMetrics]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# forward on the engine's walk, and backward
+# per-layer buffers, forward on the engine's walk, and backward
 
-def _maxpool(x):
+class _Workspace(dict):
+    """Float64 buffers by (name, layer ordinal, shape), allocated zeroed on first
+    use. _sgd keeps one for its call; every other caller gets a fresh one."""
+
+    def take(self, name: str, i: int, shape: tuple[int, ...]) -> np.ndarray:
+        key = (name, i, shape)
+        buf = self.get(key)
+        if buf is None:
+            buf = self[key] = np.zeros(shape)
+        return buf
+
+
+def _frame_shape(shape, p):
+    c, h, w = shape
+    return c, h + 2 * p, w + 2 * p
+
+
+def _maxpool(x, out=None):
     # own 2x2 max: perfbench requires that train never calls ops.maxpool2x2 (ROADMAP item 1)
     v = x.reshape(x.shape[0], x.shape[1] // 2, 2, x.shape[2] // 2, 2)
     rows = np.maximum(v[:, :, 0], v[:, :, 1])
-    return np.maximum(rows[..., 0], rows[..., 1])
+    return np.maximum(rows[..., 0], rows[..., 1], out=out)
 
 
-def _conv_step(cols, spec, w, b, x):
-    c, (h, wd) = ops.im2col(x, spec.stride, spec.padding)
+def _conv_step(ws, cols, i, spec, w, b, x):
+    p = spec.padding
+    if p:  # the frame's zero border is never written, so only its interior is copied
+        frame = ws.take("frame", i, _frame_shape(x.shape, p))
+        frame[:, p:-p, p:-p] = x
+        x = frame
+    h, wd = ops.conv_output_hw(x.shape[1], x.shape[2], spec.stride)
+    c, _ = ops.im2col(x, spec.stride,
+                      out=ws.take("cols", i, (x.shape[0] * ops.KERNEL_WEIGHTS, h * wd)))
     cols.append(c)
-    out = w.reshape(w.shape[0], -1) @ c
+    out = np.matmul(w.reshape(w.shape[0], -1), c, out=ws.take("out", i, (w.shape[0], h * wd)))
     out += b[:, None]
     return np.maximum(out, 0.0, out=out).reshape(-1, h, wd)
 
 
-def _forward(net, conv_params, dense_params, image):
-    """(logits, every layer's output, every conv's im2col matrix) from engine._walk."""
-    cols, outputs = [], []
-    convs = [partial(_conv_step, cols, spec, w, b)
-             for spec, (w, b) in zip(net.conv_specs, conv_params)]
+def _forward(net, conv_params, dense_params, image, ws=None):
+    """(logits, every layer's output, every conv's im2col matrix) from engine._walk.
+
+    Conv and pool outputs and the cols matrices live in ws (a fresh one if None)."""
+    ws = _Workspace() if ws is None else ws
+    cols, outputs, pools = [], [], count()
+    convs = [partial(_conv_step, ws, cols, i, spec, w, b)
+             for i, (spec, (w, b)) in enumerate(zip(net.conv_specs, conv_params))]
+
+    def pool(x):
+        return _maxpool(x, ws.take("pool", next(pools),
+                                   (x.shape[0], x.shape[1] // 2, x.shape[2] // 2)))
+
     prepared = engine._Prepared(lambda x: x, convs, [1.0] * (len(convs) + 1),
-                                dense_params, _maxpool)
+                                dense_params, pool)
     _, logits = engine._walk(net, prepared, image, outputs=outputs)
     return logits, outputs, cols
 
 
-def _pool_backward(x, y, grad):
+def _pool_backward(x, y, grad, out=None):
     """Route grad to each 2x2 window's first max of y in row-major order, as argmax would."""
-    dx, free = np.empty_like(x), np.ones(y.shape, dtype=bool)  # free: max not yet taken
+    dx = np.empty_like(x) if out is None else out  # every element is written below
+    free = np.ones(y.shape, dtype=bool)  # free: max not yet taken
     for di, dj in ((0, 0), (0, 1), (1, 0), (1, 1)):
         hit = (x[:, di::2, dj::2] == y) & free
         free ^= hit
@@ -122,14 +166,16 @@ def _pool_backward(x, y, grad):
     return dx
 
 
-def _backward(net, conv_params, dense_params, image, outputs, cols, dlogits):
-    """Gradients of every parameter, in FloatModel.arrays order; none for the image."""
+def _backward(net, conv_params, dense_params, image, outputs, cols, dlogits, ws):
+    """Gradients of every parameter, in FloatModel.arrays order; none for the image.
+
+    The conv weight gradients, and every conv and pool input gradient, live in ws."""
     grads = []  # last layer first, b before w; reversed on return
     conv_i = len(conv_params)
     dense_i = len(dense_params)
     grad = dlogits
     inputs = [image] + outputs[:-1]
-    for spec, x, out in zip(reversed(net.layers), reversed(inputs), reversed(outputs)):
+    for k, (spec, x, out) in reversed(list(enumerate(zip(net.layers, inputs, outputs)))):
         if isinstance(spec, DenseSpec):
             dense_i -= 1
             w, _ = dense_params[dense_i]
@@ -141,26 +187,35 @@ def _backward(net, conv_params, dense_params, image, outputs, cols, dlogits):
         elif isinstance(spec, FlattenSpec):
             grad = grad.reshape(x.shape)
         elif isinstance(spec, PoolSpec):
-            grad = _pool_backward(x, out, grad)
+            grad = _pool_backward(x, out, grad, ws.take("dx", k, x.shape))
         elif isinstance(spec, ConvSpec):
             conv_i -= 1
             w, _ = conv_params[conv_i]
-            dpre = grad.reshape(w.shape[0], -1) * (out.reshape(w.shape[0], -1) > 0)
-            grads += [dpre.sum(axis=1), (dpre @ cols[conv_i].T).reshape(w.shape)]
+            w2d = w.reshape(w.shape[0], -1)
+            c = cols[conv_i]
+            dpre = ws.take("dpre", conv_i, (w.shape[0], c.shape[1]))
+            np.multiply(grad, out > 0, out=dpre.reshape(out.shape))
+            dw = np.matmul(dpre, c.T, out=ws.take("dw", conv_i, w2d.shape))
+            grads += [dpre.sum(axis=1), dw.reshape(w.shape)]
             if conv_i == 0:
                 break  # only pools precede the first conv: nothing reads the image gradient
-            dcols = w.reshape(w.shape[0], -1).T @ dpre
-            grad = ops.col2im(dcols, x.shape, spec.stride, spec.padding)
+            dcols = np.matmul(w2d.T, dpre, out=ws.take("dcols", conv_i, c.shape))
+            frame = ws.take("dframe", conv_i, _frame_shape(x.shape, spec.padding))
+            grad = ops.col2im(dcols, x.shape, spec.stride, spec.padding, out=frame)
     return grads[::-1]
 
 
-def _loss_and_grads(net, conv_params, dense_params, image, label):
-    """Cross-entropy loss of one sample and its gradients, in FloatModel.arrays order."""
-    logits, outputs, cols = _forward(net, conv_params, dense_params, image)
+def _loss_and_grads(net, conv_params, dense_params, image, label, ws=None):
+    """Cross-entropy loss of one sample and its gradients, in FloatModel.arrays order.
+
+    With a workspace, the conv weight gradients alias its buffers, so they
+    are valid only until its next use."""
+    ws = _Workspace() if ws is None else ws
+    logits, outputs, cols = _forward(net, conv_params, dense_params, image, ws)
     loss, probs = ops.softmax_cross_entropy(logits, label)
     dlogits = probs.copy()
     dlogits[label] -= 1.0
-    return loss, _backward(net, conv_params, dense_params, image, outputs, cols, dlogits)
+    return loss, _backward(net, conv_params, dense_params, image, outputs, cols, dlogits, ws)
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +234,10 @@ def _quantized_view(net, shadow: FloatModel, config: TrainConfig):
     return [pair if q is None else dequantize_layer(q) for pair, q in zip(shadow.conv, layers)]
 
 
-def _dataset_top1(net, conv_params, dense_params, dataset) -> float:
+def _dataset_top1(net, conv_params, dense_params, dataset, ws) -> float:
     hits = 0
     for image, label in dataset:
-        logits, _, _ = _forward(net, conv_params, dense_params, image)
+        logits, _, _ = _forward(net, conv_params, dense_params, image, ws)
         hits += int(np.argmax(logits) == label)
     return hits / len(dataset)
 
@@ -194,6 +249,8 @@ def _sgd(net, shadow: FloatModel, dataset, config: TrainConfig) -> list[EpochMet
     n = len(dataset)
     params = shadow.arrays()
     view = _quantized_view(net, shadow, config)
+    ws = _Workspace()
+    acc = [np.zeros_like(p) for p in params]
     metrics = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
@@ -202,22 +259,24 @@ def _sgd(net, shadow: FloatModel, dataset, config: TrainConfig) -> list[EpochMet
             if config.refresh == "step":
                 view = _quantized_view(net, shadow, config)
             batch = order[start:start + config.batch_size]
-            acc = [np.zeros_like(p) for p in params]
+            for a in acc:
+                a.fill(0.0)
             for idx in batch:
                 image, label = dataset[idx]
-                loss, grads = _loss_and_grads(net, view, shadow.dense, image, label)
+                loss, grads = _loss_and_grads(net, view, shadow.dense, image, label, ws)
                 if not np.isfinite(loss):
                     raise DivergenceError(
                         f"non-finite loss at epoch {epoch}, sample {idx}")
                 loss_sum += loss
-                for a, g in zip(acc, grads):
+                for a, g in zip(acc, grads):  # before ws is reused by the next sample
                     a += g
             scale = config.learning_rate / len(batch)
             for p, a in zip(params, acc):
-                p -= scale * a
+                a *= scale
+                p -= a
         # quantized from the epoch's final shadow: scored here, trained on next epoch
         view = _quantized_view(net, shadow, config)
-        top1 = _dataset_top1(net, view, shadow.dense, dataset)
+        top1 = _dataset_top1(net, view, shadow.dense, dataset, ws)
         metrics.append(EpochMetrics(epoch, loss_sum / n, top1))
     return metrics
 

@@ -211,6 +211,25 @@ def test_quantize_prints_the_quantizer_saturations(ws, tmp_path, capsys):
     assert [layer.shift for layer in layers] == [7, -8]
 
 
+def test_retrain_prints_the_quantizer_saturations(ws, tmp_path, capsys):
+    # quantize's loud weights again: at rate 0 the shadow stays put, so the
+    # retrained container saturates exactly as the post-hoc one does
+    net = load_network(ws["net"])
+    model = init_float_model(net, np.random.default_rng(0))
+    (w1, b1), (w2, b2) = model.conv
+    model.conv = [(np.full_like(w1, 200.0), np.zeros_like(b1)),
+                  (np.zeros_like(w2), np.full_like(b2, 100.0))]
+    weights, qcm = tmp_path / "loud.qfw", tmp_path / "loud.qcm"
+    save_float_model(weights, model)
+    assert dispatch(["retrain", "--net", str(ws["net"]), "--weights", str(weights),
+                     "--data", str(ws["data"]), "--profile", "1,1", "--epochs", "1",
+                     "--lr", "0", "--batch-size", "4", "--out", str(qcm)]) == EXIT_OK
+    retrained, stats = capsys.readouterr().err.splitlines()
+    assert retrained.startswith("retrained 1 epochs: ")
+    assert stats == "saturations: 12 scalars, 6 biases; 1 shift-saturated and 1 degenerate layers"
+    assert [layer.shift for layer in load_model(qcm).layers] == [7, -8]
+
+
 def test_infer_reads_the_weights_file_once(ws, monkeypatch, capsys):
     real_open = io.open
     weights = ws["weights"].resolve()

@@ -533,7 +533,9 @@ def test_decode_rejects_mistyped_metadata():
     # valid JSON of the wrong shape; a non-string network used to escape
     # as AttributeError, past the CLI's data-error handler
     head, meta = _split_metadata(encode(_hand_model(_hand_layer([1] * 9))))
-    for key, value in [("network", 5), ("network", {"a": 1}), ("dense", [5]), ("dense", 5),
-                       ("source", 5)]:
+    for key, value in [("network", 5), ("network", {"a": 1}), ("dense", [5]), ("dense", 5)]:
         with pytest.raises(CorruptionError, match="bad metadata block"):
             decode(_with_metadata(head, {**meta, key: value}))
+    # the container type refuses a non-string source itself
+    with pytest.raises(CorruptionError, match="source checksum 5 is not a string"):
+        decode(_with_metadata(head, {**meta, "source": 5}))

@@ -161,6 +161,35 @@ def test_im2col_matches_loop_gather_exactly(dtype):
                 assert x.tobytes() == before.tobytes()
 
 
+def test_im2col_and_col2im_write_into_a_dirty_out_as_they_allocate():
+    rng = np.random.default_rng(12)
+    for padding in (0, 1):
+        for stride in (1, 2):
+            x = rng.normal(size=(3, 7, 6))
+            x[rng.random(x.shape) < 0.2] = -0.0
+            want, hw = im2col(x, stride, padding)
+            out = rng.normal(size=want.shape)
+            got, got_hw = im2col(x, stride, padding, out=out)
+            assert got is out and got_hw == hw
+            assert got.tobytes() == want.tobytes(), (padding, stride)
+
+            dcols = rng.normal(size=want.shape)
+            back = col2im(dcols, x.shape, stride, padding)
+            frame = rng.normal(size=(3, 7 + 2 * padding, 6 + 2 * padding))
+            got = col2im(dcols, x.shape, stride, padding, out=frame)
+            assert np.shares_memory(got, frame)
+            assert got.shape == back.shape and got.tobytes() == back.tobytes(), (padding, stride)
+
+
+def test_im2col_and_col2im_reject_a_mismatched_out():
+    x = np.zeros((2, 5, 5))
+    for bad in (np.zeros((18, 24)), np.zeros((18, 25), np.float32), np.zeros((25, 18)).T):
+        with pytest.raises(ShapeError, match="out must be"):
+            im2col(x, 1, 1, out=bad)
+    with pytest.raises(ShapeError, match="out must be"):
+        col2im(np.zeros((18, 25)), x.shape, 1, 1, out=np.zeros((2, 5, 5)))
+
+
 def test_maxpool_matches_loop_reference():
     rng = np.random.default_rng(2)
     for _ in range(20):

@@ -1,13 +1,15 @@
 """Training loop: determinism, quantized-view semantics, gradient checks."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from qnip.codec import build_compressed_model, dequantized_float_model
+from qnip import config_path, ops, train
+from qnip.codec import build_compressed_model, dequantized_float_model, encode
 from qnip.engine import accuracy
-from qnip import ops, train
 from qnip.network import (ConvSpec, DenseSpec, FlattenSpec, PoolSpec, init_float_model,
-                          model_checksum, parse_network)
+                          load_network, model_checksum, parse_network)
 from qnip.quantize import dequantize_layer, global_shift, quantize_layer
 from qnip.train import (
     DivergenceError,
@@ -270,3 +272,77 @@ def test_loss_and_grads_match_reference_backward_bit_for_bit():
             assert loss == want_loss
             assert [(g.dtype, g.shape) for g in grads] == [(g.dtype, g.shape) for g in want]
             assert all(g.tobytes() == r.tobytes() for g, r in zip(grads, want)), (text, s)
+
+
+def _patch_image(net, seed):
+    """Flat 2x2 patches: pool windows with repeated maxima."""
+    c, h, w = net.input_shape
+    patches = np.random.default_rng([seed, 1]).uniform(0, 1, (c, 2, 2))
+    return patches.repeat(h // 2, axis=1).repeat(w // 2, axis=2)
+
+
+def test_reused_workspace_gives_the_bytes_of_a_fresh_one():
+    # a stale col2im frame or pool dx from the first sample (or from the scoring
+    # forward between) would leak into the second sample's gradients
+    for text in (NET_TEXT, STRIDED_TEXT):
+        net = parse_network(text)
+        for s in range(4):
+            model = init_float_model(net, np.random.default_rng([s, 0]))
+            if s % 2:  # dead ReLUs: ties at zero as well
+                model.conv = [(w, b - 0.3) for w, b in model.conv]
+            samples = [(_patch_image(net, s), s % 2), (_patch_image(net, s + 4), 1 - s % 2)]
+            fresh = [train._loss_and_grads(net, model.conv, model.dense, image, label)
+                     for image, label in samples]
+            want = [(loss, [g.tobytes() for g in grads]) for loss, grads in fresh]
+            for score_between in (False, True):
+                ws = train._Workspace()
+                got = []
+                for n, (image, label) in enumerate(samples):
+                    if n and score_between:
+                        train._dataset_top1(net, model.conv, model.dense,
+                                            [(_patch_image(net, s + 8), 0)], ws)
+                    loss, grads = train._loss_and_grads(net, model.conv, model.dense,
+                                                        image, label, ws)
+                    got.append((loss, [g.tobytes() for g in grads]))
+                    if not n:
+                        buffers = {k: id(v) for k, v in ws.items()}
+                assert {k: id(v) for k, v in ws.items()} == buffers  # reused, none added
+                assert any(np.shares_memory(g, buf) for g in grads for buf in ws.values())
+                assert got == want, (text, s, score_between)
+
+
+# digests of toynet training on make_shapes_dataset(6, seed=1), taken before
+# training reused its buffers; any change to a summation order shows here
+GOLDEN_FLOAT = ("d30d239104479ee9e4567512b36c399f03a353a14b3bd52cbae08e086a40fe5e",
+                [(0, 2.6501361742458607, 0.26666666666666666),
+                 (1, 2.1968813863312824, 0.5666666666666667),
+                 (2, 1.973746419707667, 0.5666666666666667)])
+GOLDEN_RETRAIN = [
+    (dict(refresh="epoch"),
+     "e29197b4f288c373af80884763a7753c5a8062ec7782f96542294b1ed1e842a8",
+     [(0, 2.0369267588180118, 0.36666666666666664), (1, 2.024195516195429, 0.4166666666666667)],
+     "c3bd5745419e8c369b313fb71bb9a8e13a87840b8cdfbd47a35867714e084459"),
+    (dict(refresh="step"),
+     "92c4d77b25811728e699e90264bb8f3f2e04c492708d6a93f2b63ac3e0c200d0",
+     [(0, 2.0370714210532936, 0.35), (1, 2.0248498814613476, 0.4)],
+     "aa6719e581af0d6e68ac2f4377ab373f92dd823d8a8be9dacd83806e6d4244ed"),
+    (dict(shift_scope="global"),
+     "d8a4149b6061e3058e29cc145a8ef79b99c82e5883d7925378f9fc2be6c23be8",
+     [(0, 2.0375715877320233, 0.38333333333333336), (1, 2.0242715251247163, 0.4166666666666667)],
+     "2d1979b6ff52be0298fe417a228fd08433409aee2126d9979ba769ed77cb59c4"),
+]
+
+
+def test_toynet_training_matches_golden_digests():
+    net = load_network(config_path("toynet"))
+    data = make_shapes_dataset(6, seed=1)
+    floated = train_float(net, data, TrainConfig(epochs=3, learning_rate=0.08,
+                                                 batch_size=16, seed=1))
+    assert (model_checksum(floated.model), floated.metrics) == GOLDEN_FLOAT
+    for options, shadow, metrics, container in GOLDEN_RETRAIN:
+        result = retrain_quantized(net, floated.model, data,
+                                   TrainConfig(epochs=2, learning_rate=0.005, batch_size=16,
+                                               seed=1, profile=[1, 1, 1], **options))
+        assert model_checksum(result.shadow) == shadow, options
+        assert result.metrics == metrics, options
+        assert hashlib.sha256(encode(result.model)).hexdigest() == container, options
