@@ -276,20 +276,26 @@ def _cmd_retrain(args) -> int:
     return EXIT_OK
 
 
+def _orbit_exponents(pool, net, weights, images, kind, levels, rotations) -> list[int]:
+    """Activation exponents calibrated over every orbit input of images:
+    each image's orbit calibrates on pool, and its exponents take the
+    element-wise max. compute_layer_shift is monotone in the peak, so that
+    is one calibration over all the inputs, bit for bit."""
+    def calibrated(image):
+        with np.errstate(**_NUMERIC_ERRORS):  # NumPy keeps error states per thread
+            orbit = descriptor.orbit_inputs(net, image, kind, levels, rotations)
+            return engine.calibrate_activation_exponents(
+                net, weights, orbit.reshape(-1, *net.input_shape))
+
+    return np.max(list(pool.map(calibrated, images)), axis=0).tolist()
+
+
 def _cmd_extract(args) -> int:
     net = network.load_network(args.net)
     weights = _load_weights(args.weights, args.mode)
     levels_text = args.levels or ("1,2,3" if args.kind == "nip" else "1,2")
     levels = tuple(int(t) for t in levels_text.split(","))
     images, _ = retrieval.ingest_dataset(args.images)
-
-    exps = None
-    if args.mode == "integer":  # one grid for every input any extraction runs
-        exps = engine.calibrate_activation_exponents(
-            net, weights, (x for im in images.values()
-                           for x in descriptor.orbit_inputs(
-                               net, im, args.kind, levels, not args.no_rotations
-                           ).reshape(-1, *net.input_shape)))
 
     def one(image):
         with np.errstate(**_NUMERIC_ERRORS):
@@ -302,6 +308,10 @@ def _cmd_extract(args) -> int:
 
     names = list(images)
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        exps = None
+        if args.mode == "integer":  # one grid for every input any extraction runs
+            exps = _orbit_exponents(pool, net, weights, images.values(), args.kind, levels,
+                                    not args.no_rotations)
         results = list(pool.map(one, [images[n] for n in names]))
     descriptor.save_descriptors(args.out, dict(zip(names, results)))
     _say(f"wrote {args.out}: {len(names)} {args.precision} descriptors "

@@ -49,7 +49,7 @@ from .network import (ConvSpec, FloatModel, NetworkDefinition, check_model_match
                       dense_shapes, model_checksum, parse_network)
 from .ops import KERNEL_WEIGHTS
 from .quantize import (DEFAULT_POLICY, POLICIES, QuantizedLayer, dequantize_layer,
-                       global_shift, mask_levels, quantize_layer)
+                       finish_layer, fit_layer, global_shift, mask_levels, quantize_layer)
 
 MAGIC = b"QCM2"
 _KIND = "a compressed-model container"
@@ -231,8 +231,10 @@ def quantize_conv_layers(net: NetworkDefinition, conv, profile, policy: str = DE
                          shift_scope: str = "layer") -> list[QuantizedLayer | None]:
     """One QuantizedLayer per conv layer, None where the profile entry is None.
 
-    shift_scope "layer" picks each conv layer's shift from its own alphas;
-    "global" derives one shift from the maximum alpha across quantized layers.
+    shift_scope "layer" quantizes each conv layer with its own shift
+    (quantize_layer). "global" fits every quantized layer's alphas and
+    masks once, takes one shift from the peak alpha across them and
+    finishes each layer under it.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
@@ -241,11 +243,15 @@ def quantize_conv_layers(net: NetworkDefinition, conv, profile, policy: str = DE
     shapes = net.conv_specs
     if len(profile) != len(shapes):
         raise ValueError(f"profile covers {len(profile)} layers, network has {len(shapes)}")
-    override = (global_shift([w for w, _ in conv], profile, policy)
-                if shift_scope == "global" else None)
-    return [None if m is None else quantize_layer(w, b, int(m), policy, shape.stride,
-                                                  shape.padding, shift_override=override)
-            for shape, (w, b), m in zip(shapes, conv, profile)]
+    if shift_scope == "layer":
+        return [None if m is None else quantize_layer(w, b, int(m), policy, shape.stride,
+                                                      shape.padding)
+                for shape, (w, b), m in zip(shapes, conv, profile)]
+    fits = [None if m is None else fit_layer(w, b, int(m), policy)
+            for (w, b), m in zip(conv, profile)]
+    e = global_shift([fit.alphas for fit in fits if fit is not None])
+    return [None if fit is None else finish_layer(fit, shape.stride, shape.padding, e)
+            for shape, fit in zip(shapes, fits)]
 
 
 def build_compressed_model(net: NetworkDefinition, model: FloatModel, profile,

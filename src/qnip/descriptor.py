@@ -300,8 +300,8 @@ class DescriptorSet(Mapping[str, Descriptor]):
             if repeated.any():
                 raise ValueError(f"duplicate id {ids[int(np.argmax(repeated))]!r}")
         if precision == "real":
-            finite = np.isfinite(rows).all(axis=1)
-            if not finite.all():
+            if not np.isfinite(rows).all():  # per row only to name the first bad id
+                finite = np.isfinite(rows).all(axis=1)
                 raise ValueError(f"real descriptor {ids[int(np.argmin(finite))]!r} "
                                  f"holds non-finite values")
             meta = np.zeros(len(ids))

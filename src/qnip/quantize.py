@@ -20,6 +20,11 @@ For m >= 2 the grid is uniform and max-scaled: L = 2**(m-1) - 1,
 alpha = max|w| / L, M_l = clamp(round(w_l / alpha), -L, L). Rounding is
 always half-away-from-zero.
 
+quantize_layer runs in two halves: fit_layer checks a layer and fits its
+alphas and masks, which do not depend on the shift, and finish_layer picks
+the shift and rounds the scalars and biases onto its grid. A global-shift
+build fits every layer once, then finishes each under the shared shift.
+
 layer_alphas_masks evaluates a layer in blocks of BLOCK_KERNELS kernels
 through buffers reused from block to block, so a block's weights and its
 temporaries stay in L2 cache. Its kernel mean adds the nine column views
@@ -94,15 +99,10 @@ def compute_layer_shift(alphas: np.ndarray) -> ShiftResult:
     return ShiftResult(max(e, SHIFT_MIN), False, False)
 
 
-def global_shift(weights, profile, policy: str = DEFAULT_POLICY) -> int:
-    """One shift for every layer, from the peak alpha across all of them.
-
-    Layers whose profile entry is None (kept in float) do not count; with
-    no positive alpha anywhere the shift is SHIFT_MIN.
-    """
-    peaks = [layer_alphas_masks(w, int(m), policy)[0].max()
-             for w, m in zip(weights, profile) if m is not None]
-    return compute_layer_shift(np.array([0.0, *peaks])).e
+def global_shift(alphas) -> int:
+    """One shift for every layer, from the peak of the given layers'
+    alphas (fit_layer's); with no positive alpha anywhere it is SHIFT_MIN."""
+    return compute_layer_shift(np.array([0.0, *(a.max() for a in alphas)])).e
 
 
 def quantize_scalar(alpha: float, e: int) -> int:
@@ -300,15 +300,19 @@ class QuantizedLayer:
             raise ValueError("biases outside the 12-bit signed range")
 
 
-def quantize_layer(weights: np.ndarray, biases: np.ndarray, mask_bits: int,
-                   policy: str = DEFAULT_POLICY, stride: int = 1, padding: int = 0,
-                   shift_override: int | None = None) -> QuantizedLayer:
-    """Quantize an (out, in, 3, 3) weight tensor plus (out,) biases.
+class LayerFit(NamedTuple):
+    """A conv layer's shift-free half of quantization (fit_layer)."""
 
-    A kernel whose mantissa rounds to zero dequantizes to zero no matter
-    what its mask says, so its mask payload is canonicalized to zeros
-    (1-bit masks excepted: those stay +-1 by format).
-    """
+    mask_bits: int
+    alphas: np.ndarray  # (out, in) real-valued kernel scalars
+    masks: np.ndarray   # (out, in, 9) int8
+    biases: np.ndarray  # (out,) float64, finite
+
+
+def fit_layer(weights: np.ndarray, biases: np.ndarray, mask_bits: int,
+              policy: str = DEFAULT_POLICY) -> LayerFit:
+    """Check an (out, in, 3, 3) weight tensor plus (out,) biases and fit
+    its kernels' alphas and masks, which do not depend on the shift."""
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 4 or w.shape[2:] != (3, 3):
         raise ValueError(f"weights must be (out, in, 3, 3), got {w.shape}")
@@ -318,8 +322,22 @@ def quantize_layer(weights: np.ndarray, biases: np.ndarray, mask_bits: int,
         raise ValueError(f"biases must be ({out},), got {b.shape}")
     if not np.all(np.isfinite(b)):
         raise ValueError("biases contain non-finite values")
-
     alphas, masks = layer_alphas_masks(w, mask_bits, policy)
+    return LayerFit(int(mask_bits), alphas.reshape(out, cin),
+                    masks.reshape(out, cin, KERNEL_WEIGHTS), b)
+
+
+def finish_layer(fit: LayerFit, stride: int = 1, padding: int = 0,
+                 shift_override: int | None = None) -> QuantizedLayer:
+    """The QuantizedLayer of a fit: the shift (the layer's own, or
+    shift_override), 8-bit scalars and 12-bit biases on its grid. Takes
+    over fit.masks.
+
+    A kernel whose mantissa rounds to zero dequantizes to zero no matter
+    what its mask says, so its mask payload is canonicalized to zeros
+    (1-bit masks excepted: those stay +-1 by format).
+    """
+    mask_bits, alphas, masks, b = fit
     auto = compute_layer_shift(alphas)
     if shift_override is None:
         e = auto.e
@@ -343,15 +361,25 @@ def quantize_layer(weights: np.ndarray, biases: np.ndarray, mask_bits: int,
     stats.bias_saturations = int(np.count_nonzero((braw < BIAS_MIN) | (braw > BIAS_MAX)))
     bq = np.clip(braw, BIAS_MIN, BIAS_MAX).astype(np.int16)
 
+    out, cin = alphas.shape
     return QuantizedLayer(
         shape=ConvSpec(out, cin, stride, padding),
-        mask_bits=int(mask_bits),
+        mask_bits=mask_bits,
         shift=int(e),
-        scalars=scalars.reshape(out, cin),
-        masks=masks.reshape(out, cin, KERNEL_WEIGHTS),
+        scalars=scalars,
+        masks=masks,
         biases=bq,
         stats=stats,
     )
+
+
+def quantize_layer(weights: np.ndarray, biases: np.ndarray, mask_bits: int,
+                   policy: str = DEFAULT_POLICY, stride: int = 1, padding: int = 0,
+                   shift_override: int | None = None) -> QuantizedLayer:
+    """Quantize an (out, in, 3, 3) weight tensor plus (out,) biases:
+    finish_layer of fit_layer."""
+    return finish_layer(fit_layer(weights, biases, mask_bits, policy), stride, padding,
+                        shift_override)
 
 
 def dequantize_layer(layer: QuantizedLayer) -> tuple[np.ndarray, np.ndarray]:

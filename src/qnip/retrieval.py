@@ -1,17 +1,27 @@
 """Nearest-neighbour search over descriptors and retrieval scoring.
 
 Real and byte descriptors are ranked by cosine similarity, bit
-descriptors by Hamming distance. build_index scores a DescriptorSet's
-rows as they are: float64 rows for real, the stored uint8 codes for byte
-(cosine ignores a positive per-row scale; a row with scale 0 dequantizes
-to zeros and gets norm 0), and for bit the packed bits, zero-padded once
-to whole uint64 words, whose Hamming distance is a popcount of XOR summed
-over the words. Its only new arrays are each real or byte row's L2 norm
-and the bit rows' words. search then scores every row in one vectorised
-pass and returns a Ranking: a sequence of (id, score) pairs that holds
-every row's score, the excluded row and k. Its order is one stable
-argsort of the scores, run when the ranking is first iterated, indexed
-or sliced.
+descriptors by Hamming distance. build_index holds the rows search
+scores: a real set's float64 rows as they are, a byte set's uint8 codes
+cast once to floats, and a bit set's packed bits zero-padded once to
+whole uint64 words, whose Hamming distance is a popcount of XOR summed
+over the words. Cosine ignores a positive per-row byte scale; a byte row
+with scale 0 dequantizes to zeros and gets norm 0.
+
+Byte rows are scored by a BLAS product, matrix @ query, in float32 while
+255**2 * dim < 2**24 (dim <= 258) and in float64 above that. Each
+product of two codes, and each partial sum of a row's products or
+squares, is then an integer below 2**24 (2**53 in float64), which that
+dtype holds exactly, so every dot product and norm is the same integer
+in any summation order. The dot products are widened to float64 before
+the division, so each score has the bits of the float64 einsum formula.
+The matrix costs N * dim * 4 bytes, or N * dim * 8 above dim 258. Real
+rows keep np.einsum, because a BLAS product may change their bits.
+
+search scores every row in one vectorised pass and returns a Ranking: a
+sequence of (id, score) pairs that holds every row's score, the excluded
+row and k. Its order is one stable argsort of the scores, run when the
+ranking is first iterated, indexed or sliced.
 
 evaluate needs only the ranks of each query's relevant rows, so
 Ranking.average_precision counts them instead of sorting the index. For
@@ -30,13 +40,13 @@ more than the argsort (up to about 2.5 times at 97 distinct values and
 1,000 relevant rows), since nearly every row then shares a relevant score.
 
 Ties break toward the lexicographically smaller id so rankings are
-reproducible. Exact duplicate rows always get identical scores: the
-cosine dot products come from np.einsum, which sums every row in the
-same order (a BLAS matrix-vector product need not, and would split
-exact ties by row position). Cosine scores agree with the per-pair
-formula a@b / (|a| |b|) to within an ulp or so, so two entries whose
-scores lie that close may rank in either order; Hamming scores and
-rankings are exact.
+reproducible. Exact duplicate rows always get identical scores: real
+dot products come from np.einsum, which sums every row in the same
+order (a BLAS matrix-vector product need not, and would split exact
+ties by row position), and byte dot products are exact integers. Cosine
+scores agree with the per-pair formula a@b / (|a| |b|) to within an ulp
+or so, so two entries whose scores lie that close may rank in either
+order; Hamming scores and rankings are exact.
 
 Datasets follow the numbered-filename convention: images whose stems
 share the same leading group number (all digits but the last two) are
@@ -72,8 +82,10 @@ IMAGE_MAGIC = b"IMG1"
 @dataclass(eq=False)
 class RetrievalIndex:
     entries: DescriptorSet
-    norms: np.ndarray | None = field(repr=False)  # (N,) float64 scoring norms; None for bit
-    words: np.ndarray | None = field(repr=False)  # (N, W) uint64 bit rows; None for real, byte
+    norms: np.ndarray | None = field(repr=False)  # (N,) float64 cosine norms; None for bit
+    # the rows search scores: entries.rows for real, (N, dim) float codes
+    # for byte (_cosine_rows), (N, W) uint64 words for bit
+    rows: np.ndarray = field(repr=False)
 
     @property
     def precision(self) -> str:
@@ -178,11 +190,22 @@ def _stable_ranks(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _norms(entries: DescriptorSet) -> np.ndarray:
-    """L2 norm of each real or byte row. Cosine ignores a positive byte
-    scale; a byte row of scale 0 dequantizes to zeros, so its norm is 0."""
-    rows = entries.rows
-    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows, dtype=np.float64))
+def _cosine_rows(entries: DescriptorSet) -> np.ndarray:
+    """The rows cosine scores: real rows as they are, byte codes as floats
+    wide enough that every dot product and sum of squares is an exact
+    integer (float32 while 255**2 * dim < 2**24, else float64)."""
+    if entries.precision == "real":
+        return entries.rows
+    exact32 = 255 ** 2 * entries.dim < 2 ** 24
+    return entries.rows.astype(np.float32 if exact32 else np.float64)
+
+
+def _norms(entries: DescriptorSet, rows: np.ndarray) -> np.ndarray:
+    """L2 norm of each of rows, the _cosine_rows of entries. Cosine ignores
+    a positive byte scale; a byte row of scale 0 dequantizes to zeros, so
+    its norm is 0."""
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows, dtype=rows.dtype)
+                    .astype(np.float64, copy=False))
     if entries.precision == "byte":
         norms[entries.meta == 0.0] = 0.0
     return norms
@@ -201,7 +224,8 @@ def build_index(descriptors: Mapping[str, Descriptor]) -> RetrievalIndex:
     entries = DescriptorSet.stack(descriptors)
     if entries.precision == "bit":
         return RetrievalIndex(entries, None, _words(entries.rows))
-    return RetrievalIndex(entries, _norms(entries), None)
+    rows = _cosine_rows(entries)
+    return RetrievalIndex(entries, _norms(entries, rows), rows)
 
 
 def search(index: RetrievalIndex, query: Descriptor, k: int | None = None,
@@ -218,10 +242,14 @@ def search(index: RetrievalIndex, query: Descriptor, k: int | None = None,
         raise ValueError(f"k must be positive, got {k}")
     q = DescriptorSet.stack({"query": query})
     if entries.precision == "bit":
-        scores = np.bitwise_count(index.words ^ _words(q.rows)[0]).sum(axis=1)
+        scores = np.bitwise_count(index.rows ^ _words(q.rows)[0]).sum(axis=1)
     else:
-        dots = np.einsum("ij,j->i", entries.rows, q.rows[0], dtype=np.float64)
-        denom = index.norms * _norms(q)[0]
+        rows = _cosine_rows(q)
+        if entries.precision == "real":
+            dots = np.einsum("ij,j->i", index.rows, rows[0], dtype=np.float64)
+        else:  # exact integers in any summation order
+            dots = (index.rows @ rows[0]).astype(np.float64, copy=False)
+        denom = index.norms * _norms(q, rows)[0]
         scores = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0.0)
     return Ranking(entries, scores, entries.row(exclude), k)
 

@@ -6,15 +6,17 @@ import io
 import os
 import re
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qnip.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, dispatch
-from qnip.codec import load_model
+import qnip
+from qnip.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _orbit_exponents, dispatch
+from qnip.codec import build_compressed_model, load_model
 from qnip.datasets import make_brightness_dataset, make_retrieval_corpus, write_corpus, write_labeled_dataset
-from qnip.descriptor import Descriptor, load_descriptors, save_descriptors
+from qnip.descriptor import Descriptor, load_descriptors, orbit_inputs, save_descriptors
 from qnip.engine import calibrate_activation_exponents
 from qnip.network import init_float_model, load_float_model, load_network, save_float_model
 from qnip.ops import rotate90
@@ -463,6 +465,25 @@ def test_extract_integer_nip_is_invariant_to_rotating_the_corpus(ws, capsys):
         descs.append(load_descriptors(out)["1000"])
     assert descs[0] == descs[1]
     capsys.readouterr()
+
+
+def test_orbit_exponents_are_one_calibration_over_every_orbit_input():
+    # the per-image exponents of this set differ, so only the element-wise
+    # max over them gives the single pass's grid
+    net = load_network(qnip.config_path("toynet"))
+    model = build_compressed_model(net, init_float_model(net, np.random.default_rng(3)),
+                                   [2, 1, 3])
+    images = list(make_retrieval_corpus(10, 3, 32, seed=0).values())
+    for kind, levels, subset in (("nip", (1, 2, 3), images), ("rnip", (1, 2), images[::3])):
+        orbits = [orbit_inputs(net, im, kind, levels).reshape(-1, *net.input_shape)
+                  for im in subset]
+        per_image = {tuple(calibrate_activation_exponents(net, model, o)) for o in orbits}
+        assert len(per_image) > 1, kind
+        want = calibrate_activation_exponents(net, model, np.concatenate(orbits))
+        for jobs in (1, 2):
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                got = _orbit_exponents(pool, net, model, subset, kind, levels, True)
+            assert got == want, (kind, jobs)
 
 
 def test_quantize_refuses_reshaped_dense_head(ws, capsys):

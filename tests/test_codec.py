@@ -29,6 +29,7 @@ from qnip.codec import (
     model_sizes,
     parameter_count,
     parse_profile,
+    quantize_conv_layers,
     ratio_formula,
     save_model,
 )
@@ -500,6 +501,27 @@ def test_global_shift_scope_shares_shift():
     global_scope = build_compressed_model(net, model, [3, 3], shift_scope="global")
     assert len({layer.shift for layer in global_scope.layers}) == 1
     assert per_layer.layers[0].shift != per_layer.layers[1].shift
+
+
+def test_each_quantized_layer_is_fit_once_per_build_in_either_scope(monkeypatch):
+    net = load_network(qnip.config_path("toynet"))
+    model = init_float_model(net, np.random.default_rng(1905))
+    calls = []
+    fit = qnip.quantize.layer_alphas_masks
+
+    def counted(weights, mask_bits, policy=qnip.quantize.DEFAULT_POLICY):
+        calls.append(np.shape(weights))
+        return fit(weights, mask_bits, policy)
+
+    monkeypatch.setattr(qnip.quantize, "layer_alphas_masks", counted)
+    for scope in ("layer", "global"):
+        calls.clear()
+        build_compressed_model(net, model, [1, 2, 3], shift_scope=scope)
+        assert calls == [w.shape for w, _ in model.conv], scope
+        calls.clear()
+        layers = quantize_conv_layers(net, model.conv, [2, None, 1], shift_scope=scope)
+        assert layers[1] is None
+        assert calls == [model.conv[0][0].shape, model.conv[2][0].shape], scope
 
 
 def test_fuzzed_round_trips_small():

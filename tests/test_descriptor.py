@@ -1,5 +1,6 @@
 """Pooled descriptors: region grids, the pooling chain, precisions, file IO."""
 
+import re
 import struct
 import tracemalloc
 from pathlib import Path
@@ -675,3 +676,24 @@ def test_descriptor_set_is_a_read_only_mapping():
     with pytest.raises(ValueError, match="one precision and one length"):
         DescriptorSet.concatenate([packed, DescriptorSet.stack(
             {"c": Descriptor("real", np.array([0.0, 1.0, 0.0]))})])
+
+
+def test_non_finite_real_rows_are_named_by_id(tmp_path):
+    # one flat finiteness pass, and the row pass that names the id only on failure
+    ids = [f"{k:03d}" for k in range(7)]
+    for row, bad in ((3, np.nan), (6, np.inf), (6, -np.inf)):
+        rows = np.random.default_rng(row).uniform(size=(7, 5))
+        message = f"real descriptor '{ids[row]}' holds non-finite values"
+        nan_row = rows.copy()
+        nan_row[row, 2] = bad
+        with pytest.raises(ValueError, match=message):
+            DescriptorSet(ids, "real", 5, nan_row, np.zeros(7))
+        # the same row forged into a file: records are 2 + 3 + 1 + 20 + 4 bytes
+        path = tmp_path / f"bad{row}.qds"
+        save_descriptors(path, DescriptorSet(ids, "real", 5, rows, np.zeros(7)))
+        data = bytearray(path.read_bytes())
+        at = 10 + row * 30 + 6 + 2 * 4
+        data[at:at + 4] = struct.pack("<f", bad)
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptionError, match=re.escape(f"{path}: {message}")):
+            load_descriptors(path)

@@ -19,6 +19,7 @@ from qnip.quantize import (
     dequantize_bias,
     dequantize_layer,
     dequantize_scalar,
+    fit_layer,
     global_shift,
     layer_alphas_masks,
     mask_levels,
@@ -301,12 +302,13 @@ def test_global_shift_is_the_largest_layer_shift():
     small, big = rng.normal(size=(2, 3, 3, 3)) * 0.05, rng.normal(size=(2, 3, 3, 3)) * 6.0
     shifts = [quantize_layer(w, np.zeros(2), 3).shift for w in (small, big)]
     assert shifts[0] < shifts[1]
-    assert global_shift([small, big], [3, 3]) == shifts[1]
-    # float layers (profile None) do not count
-    assert global_shift([small, big], [3, None]) == shifts[0]
+    alphas = [fit_layer(w, np.zeros(2), 3).alphas for w in (small, big)]
+    assert global_shift(alphas) == shifts[1]
+    # only the layers given count (codec leaves out float layers)
+    assert global_shift(alphas[:1]) == shifts[0]
     # no positive alpha anywhere: the per-layer rule's degenerate shift
-    assert global_shift([np.zeros((2, 3, 3, 3))], [1]) == SHIFT_MIN
-    assert global_shift([big], [None]) == SHIFT_MIN
+    assert global_shift([fit_layer(np.zeros((2, 3, 3, 3)), np.zeros(2), 1).alphas]) == SHIFT_MIN
+    assert global_shift([]) == SHIFT_MIN
 
 
 # -- the blocked quantizer against the per-row formulas it replaces ----------

@@ -543,3 +543,33 @@ def test_zero_sized_rasters_are_refused(tmp_path):
         path.write_bytes(b"IMG1" + struct.pack("<HHH", *shape))
         with pytest.raises(CorruptionError, match="empty"):
             read_image(path)
+
+
+@pytest.mark.parametrize("dim", [1, 96, 258, 259, 512])
+def test_byte_scores_equal_the_float64_einsum_formula_bit_for_bit(dim):
+    # the byte index scores exact integers in float32 up to dim 258 and in
+    # float64 beyond; either way every score has the float64 einsum's bits
+    rng = np.random.default_rng(dim)
+    codes = rng.integers(0, 256, size=(300, dim), dtype=np.uint8)
+    codes[:4] = 255        # the largest dot products and sums of squares
+    codes[-5] = 0
+    scales = rng.uniform(0.5, 2.0, 300)
+    scales[[5, 150, -1]] = 0.0   # dequantize to zeros: norm 0, score 0
+    entries = {f"{k:03d}": Descriptor("byte", codes[k], scale=float(scales[k]))
+               for k in range(300)}
+    index = build_index(entries)
+
+    def today(q: np.ndarray, q_scale: float) -> np.ndarray:
+        dots = np.einsum("ij,j->i", codes, q, dtype=np.float64)
+        norms = np.sqrt(np.einsum("ij,ij->i", codes, codes, dtype=np.float64))
+        norms[scales == 0.0] = 0.0
+        q_norm = np.sqrt(np.einsum("j,j->", q, q, dtype=np.float64)) if q_scale else 0.0
+        denom = norms * q_norm
+        return np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0.0)
+
+    full = np.full(dim, 255, np.uint8)
+    queries = [(codes[k], float(scales[k])) for k in (0, 5, 7, 299)]
+    queries += [(full, 1.0), (np.zeros(dim, np.uint8), 1.0), (full, 0.0)]
+    for q, q_scale in queries:
+        got = search(index, Descriptor("byte", q, scale=q_scale)).scores
+        assert got.dtype == np.float64 and got.tobytes() == today(q, q_scale).tobytes()

@@ -10,7 +10,7 @@ from qnip.codec import build_compressed_model, dequantized_float_model, encode
 from qnip.engine import accuracy
 from qnip.network import (ConvSpec, DenseSpec, FlattenSpec, PoolSpec, init_float_model,
                           load_network, model_checksum, parse_network)
-from qnip.quantize import dequantize_layer, global_shift, quantize_layer
+from qnip.quantize import dequantize_layer, fit_layer, global_shift, quantize_layer
 from qnip.train import (
     DivergenceError,
     TrainConfig,
@@ -189,7 +189,8 @@ def test_quantized_view_mixes_float_and_quantized_layers():
     config = TrainConfig(profile=profile, shift_scope="global")
     view = _quantized_view(net, shadow, config)
     assert view[1][0] is shadow.conv[1][0] and view[1][1] is shadow.conv[1][1]
-    e = global_shift([w for w, _ in shadow.conv], profile, config.policy)
+    e = global_shift([fit_layer(w, b, m, config.policy).alphas
+                      for (w, b), m in zip(shadow.conv, profile) if m is not None])
     for i in (0, 2):
         shape = net.conv_specs[i]
         w, b = shadow.conv[i]
