@@ -22,7 +22,7 @@ from .engine import (accuracy, calibrate_activation_exponents, classify,
 from .network import (FloatModel, NetworkDefinition, NetworkConfigError,
                       init_float_model, load_float_model, load_network,
                       model_checksum, parse_network, propagate_shapes,
-                      save_float_model, tap_shape)
+                      save_float_model)
 from .ops import (DegenerateCropError, ShapeError, conv2d, crop, fully_connected,
                   maxpool2x2, relu, resize_bilinear, rotate90, softmax_cross_entropy)
 from .quantize import (QuantStats, QuantizedLayer, ShiftResult,

@@ -363,7 +363,6 @@ def _cmd_eval(args) -> int:
 
 def _cmd_report(args) -> int:
     cells: dict[tuple[str, str], float] = {}
-    pipelines = list(PIPELINES)
     for path in args.evals:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [(n, l.strip()) for n, l in enumerate(fh, start=1) if l.strip()]
@@ -378,12 +377,13 @@ def _cmd_report(args) -> int:
                 cells[(precision, pipeline)] = float(value)
             except ValueError:
                 raise ValueError(f"{path}:{n}: mAP {value!r} is not a number") from None
-            if pipeline not in pipelines:
-                pipelines.append(pipeline)
+    # the standard labels, then any others in first-seen order
+    pipelines = list(dict.fromkeys([*PIPELINES, *(p for _, p in cells)]))
+    precisions = list(dict.fromkeys([*descriptor.PRECISIONS, *(p for p, _ in cells)]))
     out = ["mAP by descriptor precision and pipeline"]
     header = "precision " + " ".join(f"{p:>9}" for p in pipelines)
     out.append(header)
-    for precision in ("real", "byte", "bit"):
+    for precision in precisions:
         row = [f"{precision:<9}"]
         for pipeline in pipelines:
             value = cells.get((precision, pipeline))

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -46,7 +47,7 @@ import numpy as np
 from .binfile import (CodecError, CorruptionError, EncodeError,  # noqa: F401 (re-exported)
                       FormatError, Reader, TruncationError, pack)
 from .network import (ConvSpec, FloatModel, NetworkDefinition, check_model_matches,
-                      dense_shapes, model_checksum, parse_network)
+                      model_checksum, parse_network)
 from .ops import KERNEL_WEIGHTS
 from .quantize import (DEFAULT_POLICY, POLICIES, QuantizedLayer, dequantize_layer,
                        finish_layer, fit_layer, global_shift, mask_levels, quantize_layer)
@@ -106,10 +107,9 @@ def parse_profile(text: str, n_layers: int | None = None) -> list[int | None]:
 
 
 def _checked_profile(net: NetworkDefinition, profile) -> list[int]:
-    shapes = net.conv_specs
     prof = list(profile)
-    if len(prof) != len(shapes):
-        raise ValueError(f"profile covers {len(prof)} layers, network has {len(shapes)}")
+    if len(prof) != len(net.conv_specs):
+        raise ValueError(f"profile covers {len(prof)} layers, network has {len(net.conv_specs)}")
     for m in prof:
         if m is None:
             raise ValueError("float-layer sentinel not allowed here; profile must be all-integer")
@@ -117,20 +117,18 @@ def _checked_profile(net: NetworkDefinition, profile) -> list[int]:
     return [int(m) for m in prof]
 
 
-def model_ratio(net: NetworkDefinition, profile, scalar_bits: int = 8) -> float:
-    """Overall conv-weight compression ratio under a per-layer profile."""
+def model_ratio(net: NetworkDefinition, profile) -> float:
+    """Overall conv-weight compression ratio under a per-layer profile (8-bit scalars)."""
     prof = _checked_profile(net, profile)
     pairs = [s.out_channels * s.in_channels for s in net.conv_specs]
     float_bits = sum(KERNEL_BITS_FLOAT * p for p in pairs)
-    packed_bits = sum(p * (KERNEL_WEIGHTS * m + scalar_bits) for p, m in zip(pairs, prof))
+    packed_bits = sum(p * (KERNEL_WEIGHTS * m + 8) for p, m in zip(pairs, prof))
     return float_bits / packed_bits
 
 
 def parameter_count(net: NetworkDefinition) -> int:
     """Weights plus biases across conv and dense layers."""
-    return (sum(s.out_channels * s.in_channels * KERNEL_WEIGHTS + s.out_channels
-                for s in net.conv_specs)
-            + sum(o * i + o for o, i in dense_shapes(net)))
+    return sum(math.prod(w) + math.prod(b) for w, b in net.param_shapes)
 
 
 def _section_bytes(out: int, cin: int, mask_bits: int) -> tuple[int, int]:
@@ -157,8 +155,8 @@ def model_sizes(net: NetworkDefinition, profile, policy: str = DEFAULT_POLICY,
     for shape, m in zip(net.conv_specs, prof):
         out, cin = shape.out_channels, shape.in_channels
         compressed += 8 + out * cin + sum(_section_bytes(out, cin, m))  # header, scalars
-    zero_dense = [(np.zeros((o, i), np.float32), np.zeros(o, np.float32))
-                  for o, i in dense_shapes(net)]
+    zero_dense = [(np.zeros(w, np.float32), np.zeros(b, np.float32))
+                  for w, b in net.param_shapes[len(net.conv_specs):]]
     compressed += 4 + len(_metadata_bytes(net, zero_dense, policy, source_checksum))
     return ModelSizes(float_bytes, compressed)
 
@@ -192,11 +190,10 @@ class CompressedModel:
         for i, (layer, spec) in enumerate(zip(self.layers, specs)):
             if layer.shape != spec:
                 raise ValueError(f"layer {i}: geometry {layer.shape} != network's {spec}")
-        expected = [((o, i), (o,)) for o, i in dense_shapes(self.network)]
-        stored = [(w.shape, b.shape) for w, b in self.dense]
+        expected = self.network.param_shapes[len(specs):]
+        stored = tuple((w.shape, b.shape) for w, b in self.dense)
         if stored != expected:
-            raise ValueError(
-                f"dense head shapes {stored} disagree with architecture {expected}")
+            raise ValueError(f"dense head shapes {stored} disagree with architecture {expected}")
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}, expected one of {POLICIES}")
         if not isinstance(self.source_checksum, str):

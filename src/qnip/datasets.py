@@ -135,6 +135,8 @@ def make_retrieval_corpus(num_groups: int = 10, per_group: int = 3, size: int = 
     Member 0 is the scene itself; later members are augmented copies:
     quarter-turn rotations, central re-crops and brightness changes.
     """
+    if per_group > 100:
+        raise ValueError(f"per_group {per_group} exceeds the 100 ids a group owns")
     rng = np.random.default_rng([seed, 11])
     corpus: dict[str, np.ndarray] = {}
     for g in range(num_groups):

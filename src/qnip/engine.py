@@ -40,7 +40,7 @@ from . import ops
 from .codec import CompressedModel
 from .codec import dequantized_float_model  # noqa: F401 (perfbench's tracer test reads it here)
 from .network import (ConvSpec, DenseSpec, FlattenSpec, FloatModel, NetworkDefinition,
-                      PoolSpec, check_model_matches, tap_shape)
+                      PoolSpec, check_model_matches)
 from .quantize import SHIFT_MAX, SHIFT_MIN, compute_layer_shift, mask_levels, round_half_away
 
 MODES = ("float", "dequantized", "integer")
@@ -114,6 +114,20 @@ def _conv(spec: ConvSpec, w: np.ndarray, b: np.ndarray,
     return epilogue(ops.conv2d(x, w, b, spec.stride, spec.padding))
 
 
+def _check_weights(net: NetworkDefinition, weights, mode: str) -> None:
+    """TypeError for weights of the wrong type, ValueError for another net or mode."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode == "float":
+        if not isinstance(weights, FloatModel):
+            raise TypeError("float mode needs a FloatModel")
+        check_model_matches(net, weights)
+    elif not isinstance(weights, CompressedModel):
+        raise TypeError(f"{mode} mode needs a CompressedModel")
+    elif weights.network != net:
+        raise ValueError("compressed model was built for a different architecture")
+
+
 def _prepare(net: NetworkDefinition, weights, mode: str,
              act_exponents: list[int] | None = None) -> _Prepared:
     if mode == "integer":
@@ -123,8 +137,9 @@ def _prepare(net: NetworkDefinition, weights, mode: str,
                 f"need {len(weights.layers) + 1} activation exponents "
                 f"(input plus one per conv), got {len(act_exponents)}")
         p = [int(e) for e in act_exponents]
-        if not all(SHIFT_MIN <= e <= SHIFT_MAX for e in p):
-            raise ValueError(f"activation exponents {p} must lie in [{SHIFT_MIN}, {SHIFT_MAX}]")
+        if p != list(act_exponents) or not all(SHIFT_MIN <= e <= SHIFT_MAX for e in p):
+            raise ValueError(f"activation exponents {list(act_exponents)} must be integers "
+                             f"in [{SHIFT_MIN}, {SHIFT_MAX}]")
     model = weights if mode == "float" else weights.dequantized
     if mode != "integer":
         convs = [partial(_conv, s, w, b, _relu) for s, (w, b) in zip(net.conv_specs, model.conv)]
@@ -176,6 +191,7 @@ def calibrate_activation_exponents(net: NetworkDefinition, model: CompressedMode
     the smallest e with max < 2**e (same rule as the weight shift).
     Returns [input_exponent, conv1, ..., convN].
     """
+    _check_weights(net, model, "dequantized")
     prepared = _prepare(net, model, "dequantized")
     peaks = np.zeros(len(model.layers) + 1)
     count = 0
@@ -205,27 +221,17 @@ def _forward(net: NetworkDefinition, weights, rows, lead: tuple, mode: str,
              act_exponents: list[int] | None, keep_taps: bool = True):
     """forward over rows, a sequence of checked images, with taps and logits
     shaped lead + ...; without keep_taps the taps are walked but not kept (None)."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode == "float":
-        if not isinstance(weights, FloatModel):
-            raise TypeError("float mode needs a FloatModel")
-        check_model_matches(net, weights)
-    elif not isinstance(weights, CompressedModel):
-        raise TypeError(f"{mode} mode needs a CompressedModel")
-    elif weights.network != net:
-        raise ValueError("compressed model was built for a different architecture")
+    _check_weights(net, weights, mode)
     if mode == "integer" and act_exponents is None:
         act_exponents = calibrate_activation_exponents(net, weights, rows)
     prepared = _prepare(net, weights, mode, act_exponents)
-    heads = net.dense_specs
-    taps = np.empty(lead + tap_shape(net)) if keep_taps else None
-    logits = np.empty(lead + (heads[-1].out_features,)) if heads else None
+    taps = np.empty(lead + net.tap_shape) if keep_taps else None
+    logits = np.empty(lead + net.activation_shapes[-1]) if net.dense_specs else None
     for at, row in zip(np.ndindex(lead), rows):
         tap, out = _walk(net, prepared, row)
         if keep_taps:
             taps[at] = tap
-        if heads:
+        if logits is not None:
             logits[at] = out
     return taps, logits
 

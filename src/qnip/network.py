@@ -31,12 +31,11 @@ from pathlib import Path
 import numpy as np
 
 from .binfile import Reader, pack
-from .ops import ShapeError
+from .ops import KERNEL_SIZE, ShapeError, conv_output_hw
 
 __all__ = [
     "ConvSpec", "PoolSpec", "FlattenSpec", "DenseSpec", "NetworkDefinition",
     "NetworkConfigError", "parse_network", "load_network", "propagate_shapes",
-    "dense_shapes",
     "FloatModel", "init_float_model", "save_float_model", "load_float_model",
     "model_checksum",
 ]
@@ -84,19 +83,78 @@ class DenseSpec:
 LayerSpec = ConvSpec | PoolSpec | FlattenSpec | DenseSpec
 
 
+def _derived():
+    """A field NetworkDefinition works out from the others when it is built."""
+    return field(init=False, compare=False, repr=False)
+
+
 @dataclass(frozen=True)
 class NetworkDefinition:
+    """An architecture whose layer chain is checked once, when it is built.
+
+    Building one (replace included) walks the layers from input_shape, three
+    positive dims, and raises NetworkConfigError unless each conv's
+    in_channels matches the map it reads and it leaves output pixels, each
+    pool gets even spatial dims, only dense layers follow flatten and each
+    dense follows it, and tap_index names a conv (so there is at least one).
+    What the walk finds is kept in fields that equality, hashing and repr
+    ignore: the activation shape after each layer, the tap shape, the conv
+    and dense specs, and a (w, b) shape pair for each conv, then each dense,
+    which flattened is the FloatModel.arrays order.
+    """
+
     input_shape: tuple[int, int, int]          # C, H, W
     layers: tuple[LayerSpec, ...]
     tap_index: int                             # 0-based conv ordinal
+    activation_shapes: tuple[tuple[int, ...], ...] = _derived()
+    tap_shape: tuple[int, int, int] = _derived()
+    conv_specs: tuple[ConvSpec, ...] = _derived()
+    dense_specs: tuple[DenseSpec, ...] = _derived()
+    param_shapes: tuple[tuple[tuple[int, ...], tuple[int]], ...] = _derived()
 
-    @property
-    def conv_specs(self) -> tuple[ConvSpec, ...]:
-        return tuple(l for l in self.layers if isinstance(l, ConvSpec))
-
-    @property
-    def dense_specs(self) -> tuple[DenseSpec, ...]:
-        return tuple(l for l in self.layers if isinstance(l, DenseSpec))
+    def __post_init__(self):
+        if len(self.input_shape) != 3 or min(self.input_shape) < 1:
+            raise NetworkConfigError(f"input shape {self.input_shape} is not three positive dims")
+        cur = self.input_shape
+        shapes, params, conv_outputs = [], [], []
+        for i, spec in enumerate(self.layers, start=1):
+            if len(cur) == 1 and not isinstance(spec, DenseSpec):
+                raise NetworkConfigError(f"layer {i}: only dense layers may follow flatten")
+            if isinstance(spec, ConvSpec):
+                if spec.in_channels != cur[0]:
+                    raise NetworkConfigError(
+                        f"layer {i}: conv takes {spec.in_channels} channels, gets {cur[0]}")
+                try:
+                    cur = (spec.out_channels, *conv_output_hw(cur[1], cur[2], spec.stride,
+                                                             spec.padding))
+                except ShapeError as err:
+                    raise NetworkConfigError(f"layer {i}: {err}") from None
+                params.append(((spec.out_channels, spec.in_channels, KERNEL_SIZE, KERNEL_SIZE),
+                               (spec.out_channels,)))
+                conv_outputs.append(cur)
+            elif isinstance(spec, PoolSpec):
+                if cur[1] % 2 or cur[2] % 2:
+                    raise NetworkConfigError(
+                        f"layer {i}: pool needs even spatial dims, has {cur[1]}x{cur[2]}")
+                cur = (cur[0], cur[1] // 2, cur[2] // 2)
+            elif isinstance(spec, FlattenSpec):
+                cur = (math.prod(cur),)
+            else:
+                if len(cur) != 1:
+                    raise NetworkConfigError(f"layer {i}: dense before flatten")
+                params.append(((spec.out_features, cur[0]), (spec.out_features,)))
+                cur = (spec.out_features,)
+            shapes.append(cur)
+        if not conv_outputs:
+            raise NetworkConfigError("network needs at least one conv layer")
+        if not 0 <= self.tap_index < len(conv_outputs):
+            raise NetworkConfigError(f"tap index {self.tap_index} names no conv layer")
+        derived = dict(activation_shapes=tuple(shapes), tap_shape=conv_outputs[self.tap_index],
+                       conv_specs=tuple(l for l in self.layers if isinstance(l, ConvSpec)),
+                       dense_specs=tuple(l for l in self.layers if isinstance(l, DenseSpec)),
+                       param_shapes=tuple(params))
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def tap_name(self) -> str:
@@ -188,15 +246,10 @@ def parse_network(text: str) -> NetworkDefinition:
 
     if input_shape is None:
         raise NetworkConfigError("missing input line")
-    if conv_count == 0:
-        raise NetworkConfigError("network needs at least one conv layer")
     if len(tap_marks) > 1:
         raise NetworkConfigError(f"multiple tap markers: conv ordinals {tap_marks}")
-    tap_index = tap_marks[0] if tap_marks else conv_count - 1
-
-    net = NetworkDefinition(input_shape, tuple(layers), tap_index)
-    propagate_shapes(net)  # surfaces incompatible layer chains at parse time
-    return net
+    return NetworkDefinition(input_shape, tuple(layers),
+                             tap_marks[0] if tap_marks else conv_count - 1)
 
 
 def load_network(path) -> NetworkDefinition:
@@ -205,50 +258,8 @@ def load_network(path) -> NetworkDefinition:
 
 
 def propagate_shapes(net: NetworkDefinition) -> list[tuple[int, ...]]:
-    """Activation shape after each layer; raises on an inconsistent chain."""
-    from .ops import conv_output_hw  # local import keeps module load order simple
-
-    shapes: list[tuple[int, ...]] = []
-    cur: tuple[int, ...] = net.input_shape
-    flattened = False
-    for i, spec in enumerate(net.layers):
-        if isinstance(spec, (ConvSpec, PoolSpec)) and flattened:
-            raise NetworkConfigError(f"layer {i + 1}: spatial layer after flatten")
-        if isinstance(spec, ConvSpec):
-            h, w = conv_output_hw(cur[1], cur[2], spec.stride, spec.padding)
-            cur = (spec.out_channels, h, w)
-        elif isinstance(spec, PoolSpec):
-            if cur[1] % 2 or cur[2] % 2:
-                raise NetworkConfigError(
-                    f"layer {i + 1}: pool needs even spatial dims, has {cur[1]}x{cur[2]}")
-            cur = (cur[0], cur[1] // 2, cur[2] // 2)
-        elif isinstance(spec, FlattenSpec):
-            cur = (cur[0] * cur[1] * cur[2],)
-            flattened = True
-        else:
-            if not flattened:
-                raise NetworkConfigError(f"layer {i + 1}: dense before flatten")
-            cur = (spec.out_features,)
-        shapes.append(cur)
-    return shapes
-
-
-def dense_shapes(net: NetworkDefinition) -> list[tuple[int, int]]:
-    """(out, in) of each dense layer, in order."""
-    widths = [shape[0] for shape in propagate_shapes(net) if len(shape) == 1]
-    return list(zip(widths[1:], widths))  # widths: flatten's output, then each dense's
-
-
-def tap_shape(net: NetworkDefinition) -> tuple[int, int, int]:
-    """C, H, W of the feature map at the tap point."""
-    shapes = propagate_shapes(net)
-    conv_i = -1
-    for spec, shape in zip(net.layers, shapes):
-        if isinstance(spec, ConvSpec):
-            conv_i += 1
-            if conv_i == net.tap_index:
-                return shape  # type: ignore[return-value]
-    raise NetworkConfigError(f"tap index {net.tap_index} names no conv layer")
+    """Activation shape after each layer, as net found it when built."""
+    return list(net.activation_shapes)
 
 
 @dataclass
@@ -270,36 +281,25 @@ class FloatModel:
 
 
 def init_float_model(net: NetworkDefinition, rng: np.random.Generator) -> FloatModel:
-    """He-normal initialization matching the architecture."""
-    model = FloatModel()
-    for shape in net.conv_specs:
-        fan_in = shape.in_channels * 9
-        w = rng.normal(0.0, np.sqrt(2.0 / fan_in),
-                       size=(shape.out_channels, shape.in_channels, 3, 3))
-        model.conv.append((w, np.zeros(shape.out_channels)))
-    for o, i in dense_shapes(net):
-        w = rng.normal(0.0, np.sqrt(2.0 / i), size=(o, i))
-        model.dense.append((w, np.zeros(o)))
-    return model
+    """He-normal weights and zero biases, drawn layer by layer in param_shapes
+    order; a weight's fan-in is the product of its shape past the first axis."""
+    pairs = [(rng.normal(0.0, np.sqrt(2.0 / math.prod(w[1:])), size=w), np.zeros(b))
+             for w, b in net.param_shapes]
+    n_conv = len(net.conv_specs)
+    return FloatModel(conv=pairs[:n_conv], dense=pairs[n_conv:])
 
 
 def check_model_matches(net: NetworkDefinition, model: FloatModel) -> None:
-    conv_shapes = net.conv_specs
-    if len(model.conv) != len(conv_shapes):
-        raise ValueError(f"model has {len(model.conv)} conv layers, net expects {len(conv_shapes)}")
-    for i, (shape, (w, b)) in enumerate(zip(conv_shapes, model.conv)):
-        want = (shape.out_channels, shape.in_channels, 3, 3)
-        if w.shape != want:
-            raise ValueError(f"conv{i + 1}: weights {w.shape} != {want}")
-        if b.shape != (shape.out_channels,):
-            raise ValueError(f"conv{i + 1}: bias {b.shape} != ({shape.out_channels},)")
-    want = dense_shapes(net)
-    if len(model.dense) != len(want):
-        raise ValueError(f"model has {len(model.dense)} dense layers, net expects {len(want)}")
-    for i, ((o, f), (w, b)) in enumerate(zip(want, model.dense)):
-        if np.shape(w) != (o, f) or np.shape(b) != (o,):
-            raise ValueError(f"dense{i + 1}: weights {np.shape(w)} and bias {np.shape(b)} "
-                             f"!= ({o}, {f}) and ({o},)")
+    """Raise ValueError unless model holds net.param_shapes, layer by layer."""
+    n_conv, n_dense = len(net.conv_specs), len(net.dense_specs)
+    if (len(model.conv), len(model.dense)) != (n_conv, n_dense):
+        raise ValueError(f"model has {len(model.conv)} conv and {len(model.dense)} dense "
+                         f"layers, net expects {n_conv} and {n_dense}")
+    names = [f"conv{i + 1}" for i in range(n_conv)] + [f"dense{i + 1}" for i in range(n_dense)]
+    for name, (w, b), want in zip(names, (*model.conv, *model.dense), net.param_shapes):
+        if (np.shape(w), np.shape(b)) != want:
+            raise ValueError(f"{name}: weights {np.shape(w)} and bias {np.shape(b)} "
+                             f"!= {want[0]} and {want[1]}")
 
 
 def save_float_model(path, model: FloatModel) -> None:

@@ -275,24 +275,18 @@ def average_precision(ranked_ids, relevant) -> float:
                             if name in relevant], len(relevant))
 
 
-def mean_average_precision(index: RetrievalIndex, ground_truth: dict,
-                           query_ids=None) -> float:
-    """Unweighted mean AP over the queries; each query is ranked against
-    every other index entry (never itself)."""
-    mAP, _ = evaluate(index, ground_truth, query_ids)
+def mean_average_precision(index: RetrievalIndex, ground_truth: dict) -> float:
+    """Unweighted mean AP over the ground truth's queries; each query is
+    ranked against every other index entry (never itself)."""
+    mAP, _ = evaluate(index, ground_truth)
     return mAP
 
 
-def evaluate(index: RetrievalIndex, ground_truth: dict,
-             query_ids=None) -> tuple[float, dict[str, float]]:
-    if query_ids is None:
-        query_ids = list(ground_truth)
-    if not query_ids:
+def evaluate(index: RetrievalIndex, ground_truth: dict) -> tuple[float, dict[str, float]]:
+    if not ground_truth:
         raise ValueError("no queries to evaluate")
     per_query = {}
-    for qid in query_ids:
-        if qid not in ground_truth:
-            raise ValueError(f"query {qid!r} has no ground-truth entry")
+    for qid in ground_truth:
         if qid not in index.entries:
             raise ValueError(f"query {qid!r} is not in the index")
         ranked = search(index, index.entries[qid], exclude=qid)
@@ -330,7 +324,7 @@ def holidays_group(stem: str) -> str:
     return stem[:-2] if len(stem) > 2 else stem
 
 
-def ingest_dataset(directory, group_rule=holidays_group):
+def ingest_dataset(directory):
     """Load every *.img raster under directory and derive ground truth.
 
     Returns (images, ground_truth): images maps id -> float array in
@@ -348,7 +342,7 @@ def ingest_dataset(directory, group_rule=holidays_group):
         if stem in images:
             raise ValueError(f"duplicate image id {stem!r}")
         images[stem] = read_image(path)
-        groups.setdefault(group_rule(stem), []).append(stem)
+        groups.setdefault(holidays_group(stem), []).append(stem)
     ground_truth = {}
     for key, members in groups.items():
         if len(members) < 2:

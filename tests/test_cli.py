@@ -430,6 +430,18 @@ def test_report_names_the_file_and_line_of_a_map_that_is_not_a_number(tmp_path, 
     assert captured.err == f"{evals}:3: mAP 'x' is not a number\n"
 
 
+def test_report_lists_other_precision_labels_after_the_standard_three(tmp_path, capsys):
+    # eval --precision takes any label; report used to drop the int8 cell
+    real, int8 = tmp_path / "real.csv", tmp_path / "int8.csv"
+    real.write_text("pipeline,precision,map\nnip,real,0.5\n")
+    int8.write_text("pipeline,precision,map\nnip,int8,0.25\nnip,fp16,0.125\n")
+    assert dispatch(["report", "--eval", str(real), str(int8)]) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [row.split()[:2] for row in rows] == [
+        ["real", "0.5000"], ["byte", "-"], ["bit", "-"], ["int8", "0.2500"],
+        ["fp16", "0.1250"]]
+
+
 def test_extract_rnip_and_bit_precision(ws, capsys):
     desc = ws["root"] / "rnip_bit.qds"
     assert dispatch(["extract", "--net", str(ws["net"]), "--weights", str(ws["weights"]),

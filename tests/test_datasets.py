@@ -87,6 +87,14 @@ def test_retrieval_corpus_parameters():
     assert all(np.array_equal(corpus[k], again[k]) for k in corpus)
 
 
+def test_retrieval_corpus_refuses_more_members_than_a_group_has_ids():
+    # member 100 of group 0 used to take id 1100, which group 1's query overwrote
+    with pytest.raises(ValueError, match="per_group 101"):
+        make_retrieval_corpus(2, 101, 8, 0)
+    corpus = make_retrieval_corpus(2, 100, 8, 0)
+    assert len(corpus) == 200 and list(corpus)[99:101] == ["1099", "1100"]
+
+
 def test_retrieval_corpus_variants_share_content():
     # members of one group are near-duplicates up to rotation, crop and
     # brightness, so they sit closer together than members of other groups

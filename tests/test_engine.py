@@ -24,7 +24,7 @@ from qnip.engine import (
     classify,
     forward,
 )
-from qnip.network import FloatModel, init_float_model, load_network, parse_network, tap_shape
+from qnip.network import FloatModel, init_float_model, load_network, parse_network
 from qnip.quantize import SHIFT_MAX, SHIFT_MIN, quantize_layer
 
 NET_TEXT = "input 3 12 12\nconv 4 pad=1\npool\nconv 6 tap\nflatten\ndense 5\n"
@@ -265,6 +265,33 @@ def test_forward_rejects_wrong_architecture():
         forward(other_net, compressed, _images(1)[0], mode="dequantized")
 
 
+def test_calibration_checks_its_weights_as_forward_does():
+    # a FloatModel used to fail as an AttributeError, and a container of
+    # another architecture was walked on this net's specs
+    net, model = _net_and_model()
+    images = _images(2)
+    with pytest.raises(TypeError, match="needs a CompressedModel"):
+        calibrate_activation_exponents(net, model, images)
+    other_net = parse_network("input 3 12 12\nconv 4 pad=1 tap\n")
+    other = build_compressed_model(other_net, init_float_model(other_net,
+                                                               np.random.default_rng(0)), [1])
+    with pytest.raises(ValueError, match="different architecture"):
+        calibrate_activation_exponents(net, other, images)
+
+
+def test_integer_mode_refuses_non_integral_activation_exponents():
+    # int(e) used to truncate them, so e + 0.7 ran as e
+    net, model = _net_and_model(seed=41, text="input 2 6 6\nconv 3 pad=1\nconv 3 tap\n")
+    compressed = build_compressed_model(net, model, [2, 2])
+    image = _images(1, shape=(2, 6, 6), seed=241)[0]
+    exps = calibrate_activation_exponents(net, compressed, [image])
+    tap, _ = forward(net, compressed, image, "integer", exps)
+    assert np.array_equal(forward(net, compressed, image, "integer",
+                                  [float(e) for e in exps])[0], tap)
+    with pytest.raises(ValueError, match="must be integers"):
+        forward(net, compressed, image, "integer", [e + 0.7 for e in exps])
+
+
 def test_forward_rejects_wrong_image_shape():
     net, model = _net_and_model()
     from qnip.ops import ShapeError
@@ -461,7 +488,7 @@ def test_accuracy_keeps_no_tap_array(mode, expected):
     model = init_float_model(net, np.random.default_rng(60))
     weights = model if mode == "float" else build_compressed_model(net, model, [1, 1, 1])
     dataset = make_shapes_dataset(6, 32, seed=60)
-    tap_bytes = len(dataset) * math.prod(tap_shape(net)) * 8
+    tap_bytes = len(dataset) * math.prod(net.tap_shape) * 8
     stack_bytes = len(dataset) * math.prod(net.input_shape) * 8
     tracemalloc.start()
     try:

@@ -1,5 +1,7 @@
 """Architecture config parsing, shape propagation, float checkpoints."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,12 @@ import qnip
 from qnip.network import (
     ConvSpec,
     DenseSpec,
+    FlattenSpec,
     FloatModel,
     NetworkConfigError,
+    NetworkDefinition,
+    PoolSpec,
     check_model_matches,
-    dense_shapes,
     init_float_model,
     load_float_model,
     load_network,
@@ -18,7 +22,6 @@ from qnip.network import (
     parse_network,
     propagate_shapes,
     save_float_model,
-    tap_shape,
 )
 
 TOY_TEXT = """\
@@ -42,7 +45,7 @@ def test_parse_basic_network():
     assert [s.in_channels for s in net.conv_specs] == [3, 16, 32]
     assert [s.out_features for s in net.dense_specs] == [10]
     assert net.tap_name == "conv3"
-    assert tap_shape(net) == (96, 8, 8)
+    assert net.tap_shape == (96, 8, 8)
 
 
 def test_parse_roundtrips_through_to_text():
@@ -64,7 +67,7 @@ def test_parse_comments_and_blank_lines():
 def test_default_tap_is_last_conv():
     net = parse_network("input 1 8 8\nconv 2 pad=1\nconv 3 pad=1\npool\nflatten\ndense 2\n")
     assert net.tap_name == "conv2"
-    assert tap_shape(net) == (3, 8, 8)
+    assert net.tap_shape == (3, 8, 8)
 
 
 def test_parse_errors():
@@ -87,6 +90,49 @@ def test_parse_errors():
     ]:
         with pytest.raises(NetworkConfigError):
             parse_network(text)
+
+
+def test_a_network_built_directly_checks_its_chain():
+    conv = ConvSpec(2, 1)
+    for layers, tap_index, message in [
+        ((conv, DenseSpec(4)), 0, "layer 2: dense before flatten"),
+        ((ConvSpec(2, 1, padding=1), PoolSpec()), 0,
+         "layer 2: pool needs even spatial dims, has 5x5"),
+        ((conv,), 1, "tap index 1 names no conv layer"),
+        ((conv,), -1, "tap index -1 names no conv layer"),
+        ((FlattenSpec(), DenseSpec(2)), 0, "network needs at least one conv layer"),
+        ((ConvSpec(2, 3),), 0, "layer 1: conv takes 3 channels, gets 1"),
+        ((conv, ConvSpec(2, 2, stride=2), ConvSpec(2, 2)), 0, "layer 3: 3x3 conv"),
+        ((conv, FlattenSpec(), FlattenSpec()), 0, "layer 3: only dense layers may follow"),
+        ((conv, FlattenSpec(), PoolSpec()), 0, "layer 3: only dense layers may follow"),
+    ]:
+        with pytest.raises(NetworkConfigError, match=f"^{message}"):
+            NetworkDefinition((1, 5, 5), layers, tap_index)
+    with pytest.raises(NetworkConfigError, match="^input shape"):
+        NetworkDefinition((1, 5), (conv,), 0)
+    net = NetworkDefinition((1, 5, 5), (conv,), 0)
+    with pytest.raises(NetworkConfigError, match="tap index 3"):
+        dataclasses.replace(net, tap_index=3)
+    # the text grammar reaches the same checks: a second flatten and a conv
+    # leaving no pixels used to raise IndexError and ShapeError
+    for text in ("input 1 8 8\nconv 2\nflatten\nflatten\n", "input 1 2 2\nconv 2\n"):
+        with pytest.raises(NetworkConfigError):
+            parse_network(text)
+
+
+def test_a_network_carries_its_shapes_outside_equality():
+    net = parse_network(TOY_TEXT)
+    assert net.activation_shapes == ((16, 32, 32), (16, 16, 16), (32, 16, 16), (32, 8, 8),
+                                     (96, 8, 8), (96, 4, 4), (1536,), (10,))
+    assert propagate_shapes(net) == list(net.activation_shapes)
+    assert net.param_shapes == (((16, 3, 3, 3), (16,)), ((32, 16, 3, 3), (32,)),
+                                ((96, 32, 3, 3), (96,)), ((10, 1536), (10,)))
+    again = parse_network(TOY_TEXT)
+    assert again == net and hash(again) == hash(net)
+    assert repr(net) == (f"NetworkDefinition(input_shape={net.input_shape!r}, "
+                         f"layers={net.layers!r}, tap_index=2)")
+    moved = dataclasses.replace(net, tap_index=0)
+    assert moved != net and moved.tap_shape == (16, 32, 32)
 
 
 def test_parse_refuses_layers_before_input():
@@ -117,7 +163,7 @@ def test_vgg_fixture_geometry():
     assert net.input_shape == (3, 224, 224)
     assert len(net.conv_specs) == 13
     assert not net.dense_specs
-    assert tap_shape(net) == (512, 14, 14)
+    assert net.tap_shape == (512, 14, 14)
     widths = [s.out_channels for s in net.conv_specs]
     assert widths == [64, 64, 128, 128, 256, 256, 256, 512, 512, 512, 512, 512, 512]
 
@@ -127,7 +173,7 @@ def test_toynet_fixture_geometry():
     shapes = propagate_shapes(net)
     assert shapes[-2] == (1536,)
     assert shapes[-1] == (10,)
-    assert tap_shape(net) == (96, 8, 8)
+    assert net.tap_shape == (96, 8, 8)
 
 
 def test_init_float_model_shapes_and_determinism():
@@ -217,10 +263,11 @@ def test_check_model_matches_rejects_reshaped_dense_head():
 
 def test_dense_shapes_and_unchanged_init_draws():
     net = parse_network("input 1 8 8\nconv 3 pad=1\npool\nconv 4 tap\nflatten\ndense 5\ndense 2\n")
-    assert dense_shapes(net) == [(5, 16), (2, 5)]
-    assert dense_shapes(parse_network("input 1 4 4\nconv 2\n")) == []
+    assert net.param_shapes == (((3, 1, 3, 3), (3,)), ((4, 3, 3, 3), (4,)),
+                                ((5, 16), (5,)), ((2, 5), (2,)))
+    assert parse_network("input 1 4 4\nconv 2\n").param_shapes == (((2, 1, 3, 3), (2,)),)
     model = init_float_model(net, np.random.default_rng(3))
-    assert [w.shape for w, _ in model.dense] == dense_shapes(net)
+    assert tuple((w.shape, b.shape) for w, b in (*model.conv, *model.dense)) == net.param_shapes
     # the weights drawn before the dense shapes had one derivation
     assert model_checksum(model) == (
         "43dd56d689be9390d732296407d4bddb80629c02d2863d26db5df2c8fd93dc6b")
