@@ -157,8 +157,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--results", help="write full ranked results CSV")
 
     p = verb("report", "mAP grid over pipelines and precisions, plus model size")
-    p.add_argument("--eval", nargs="+", required=True, dest="evals",
-                   help="CSV files produced by the eval verb")
+    p.add_argument("--eval", nargs="+", action="extend", required=True, dest="evals",
+                   help="CSV files produced by the eval verb (repeatable)")
     p.add_argument("--model", help="a .qcm whose sizes close the report")
     p.add_argument("--out", help="also write the report here")
 

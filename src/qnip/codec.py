@@ -13,10 +13,12 @@ Byte layout (all integers little-endian unless noted)::
 The stream is read through binfile.Reader and written through binfile.pack
 under their contracts: bad magic, truncation and trailing bytes are refused,
 and a stride, padding or channel count too large for its field raises
-EncodeError before save_model writes anything. CompressedModel and
-QuantizedLayer check themselves when built, so encode is only handed valid
-containers; decode builds both as it reads and reports what they refuse as
-CorruptionError.
+EncodeError before save_model writes anything. A layer header's geometry
+(out, in, stride, padding) is written from the network's conv_specs, and
+on decode is checked against the network in the metadata block.
+CompressedModel and QuantizedLayer check themselves when built, so encode
+is only handed valid containers; decode builds both as it reads and
+reports what they refuse as CorruptionError.
 
 Masks are two's complement within their m bits, except m = 1 where the
 single bit encodes +1 (1) or -1 (0). A section packs as one (count, m) uint8
@@ -188,8 +190,9 @@ class CompressedModel:
             raise ValueError(
                 f"model has {len(self.layers)} quantized layers, network has {len(specs)}")
         for i, (layer, spec) in enumerate(zip(self.layers, specs)):
-            if layer.shape != spec:
-                raise ValueError(f"layer {i}: geometry {layer.shape} != network's {spec}")
+            if layer.scalars.shape != (spec.out_channels, spec.in_channels):
+                raise ValueError(f"layer {i}: geometry (out, in) {layer.scalars.shape} "
+                                 f"!= network's {spec}")
         expected = self.network.param_shapes[len(specs):]
         stored = tuple((w.shape, b.shape) for w, b in self.dense)
         if stored != expected:
@@ -237,18 +240,16 @@ def quantize_conv_layers(net: NetworkDefinition, conv, profile, policy: str = DE
         raise ValueError(f"unknown policy {policy!r}")
     if shift_scope not in SHIFT_SCOPES:
         raise ValueError(f"shift_scope must be one of {SHIFT_SCOPES}, got {shift_scope!r}")
-    shapes = net.conv_specs
-    if len(profile) != len(shapes):
-        raise ValueError(f"profile covers {len(profile)} layers, network has {len(shapes)}")
+    if len(profile) != len(net.conv_specs):
+        raise ValueError(f"profile covers {len(profile)} layers, "
+                         f"network has {len(net.conv_specs)}")
     if shift_scope == "layer":
-        return [None if m is None else quantize_layer(w, b, int(m), policy, shape.stride,
-                                                      shape.padding)
-                for shape, (w, b), m in zip(shapes, conv, profile)]
+        return [None if m is None else quantize_layer(w, b, int(m), policy)
+                for (w, b), m in zip(conv, profile)]
     fits = [None if m is None else fit_layer(w, b, int(m), policy)
             for (w, b), m in zip(conv, profile)]
     e = global_shift([fit.alphas for fit in fits if fit is not None])
-    return [None if fit is None else finish_layer(fit, shape.stride, shape.padding, e)
-            for shape, fit in zip(shapes, fits)]
+    return [None if fit is None else finish_layer(fit, e) for fit in fits]
 
 
 def build_compressed_model(net: NetworkDefinition, model: FloatModel, profile,
@@ -320,8 +321,7 @@ def _metadata_bytes(net: NetworkDefinition, dense, policy: str, source: str) -> 
 def encode(model: CompressedModel) -> bytes:
     blob = bytearray(MAGIC)
     blob += pack("<BH", "header (version, layer count)", VERSION, len(model.layers))
-    for i, layer in enumerate(model.layers):
-        shape = layer.shape
+    for i, (layer, shape) in enumerate(zip(model.layers, model.network.conv_specs)):
         blob += pack("<HHBBBb", f"layer {i} header (out, in, stride, padding, m, e)",
                      shape.out_channels, shape.in_channels, shape.stride, shape.padding,
                      layer.mask_bits, layer.shift)
@@ -346,7 +346,7 @@ def _decode(rd: Reader) -> CompressedModel:
     if version != VERSION:
         raise UnsupportedVersionError(f"container version {version}, expected {VERSION}")
 
-    layers = []
+    layers, geometry = [], []
     for i in range(layer_count):
         out, cin, stride, padding, m, e = rd.unpack("<HHBBBb", f"layer {i} header")
         if not 1 <= m <= 5:
@@ -361,9 +361,9 @@ def _decode(rd: Reader) -> CompressedModel:
             masks = _unpack_fields(packed, m, pairs * KERNEL_WEIGHTS).astype(np.int8)
         biases = _unpack_fields(rd.array(np.uint8, bias_bytes, f"layer {i} biases"), BIAS_BITS, out)
         try:
+            geometry.append(ConvSpec(out, cin, stride, padding))
             layers.append(QuantizedLayer(
-                shape=ConvSpec(out, cin, stride, padding), mask_bits=m, shift=e,
-                scalars=scalars.reshape(out, cin).copy(),
+                mask_bits=m, shift=e, scalars=scalars.reshape(out, cin).copy(),
                 masks=masks.reshape(out, cin, KERNEL_WEIGHTS), biases=biases))
         except ValueError as err:  # ShapeError included
             raise CorruptionError(f"layer {i}: {err}") from err
@@ -383,6 +383,10 @@ def _decode(rd: Reader) -> CompressedModel:
             dense.append((w, np.frombuffer(base64.b64decode(entry["b"]), np.float32)))
     except (KeyError, ValueError, TypeError, AttributeError) as err:  # any JSON shape
         raise CorruptionError(f"bad metadata block: {err}") from err
+    if len(geometry) == len(net.conv_specs):  # else CompressedModel reports the count
+        for i, (got, want) in enumerate(zip(geometry, net.conv_specs)):
+            if got != want:
+                raise CorruptionError(f"layer {i}: geometry {got} != network's {want}")
     try:
         return CompressedModel(net, layers, dense, policy, source)
     except ValueError as err:  # metadata the container type refuses

@@ -46,6 +46,7 @@ are a strided view of the file and only their conversion copies them.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from itertools import chain
@@ -214,6 +215,8 @@ def quantize_descriptor(desc: Descriptor) -> Descriptor:
     if np.minimum.reduce(values, initial=0.0) < 0.0:
         raise ValueError("descriptor entries must be non-negative")
     scale = float(np.maximum.reduce(values, initial=0.0))
+    if not math.isfinite(scale):  # a NaN or +inf entry; -inf is refused as negative
+        raise ValueError("real descriptor holds non-finite values")
     if scale == 0.0:
         return Descriptor("byte", np.zeros(values.shape[0], np.uint8), scale=0.0)
     # round_half_away, on entries known to be >= 0
@@ -235,6 +238,8 @@ def binarize_descriptor(desc: Descriptor) -> Descriptor:
         raise ValueError(f"can only binarize real descriptors, got {desc.precision!r}")
     values = np.asarray(desc.values, dtype=np.float64)
     threshold = float(np.add.reduce(values) / values.size)  # ndarray.mean's arithmetic
+    if not math.isfinite(threshold):  # any NaN or inf entry, or a sum past the float64 range
+        raise ValueError("real descriptor holds non-finite values")
     return Descriptor("bit", (values > threshold).astype(np.uint8), threshold=threshold)
 
 
@@ -326,6 +331,9 @@ class DescriptorSet(Mapping[str, Descriptor]):
         rows = np.array([d.values for d in descs],
                         np.float64 if precision == "real" else np.uint8)
         if precision == "bit":
+            if rows.max(initial=0) > 1:  # packbits would fold any flag > 1 to 1
+                bad = names[int(np.argmax((rows > 1).any(axis=1)))]
+                raise ValueError(f"bit descriptor {bad!r} holds flags other than 0 and 1")
             rows = np.packbits(rows, axis=1)
         meta = np.zeros(len(descs)) if precision == "real" else [
             (d.scale if precision == "byte" else d.threshold) or 0.0 for d in descs]

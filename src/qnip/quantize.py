@@ -43,7 +43,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .network import ConvSpec
 from .ops import KERNEL_WEIGHTS
 
 POLICIES = ("xnor-abs-mean", "literal-mean")
@@ -251,10 +250,10 @@ class QuantizedLayer:
 
     scalars: (out, in) uint8 mantissas; masks: (out, in, 9) int8;
     biases: (out,) int16 in [-2048, 2047]; shift: shared exponent e.
+    Stride and padding are the network's (its conv_specs), not the layer's.
     Building one (dataclasses.replace included) runs validate.
     """
 
-    shape: ConvSpec
     mask_bits: int
     shift: int
     scalars: np.ndarray
@@ -270,8 +269,7 @@ class QuantizedLayer:
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuantizedLayer):
             return NotImplemented
-        return (self.shape == other.shape
-                and self.mask_bits == other.mask_bits
+        return (self.mask_bits == other.mask_bits
                 and self.shift == other.shift
                 and np.array_equal(self.scalars, other.scalars)
                 and np.array_equal(self.masks, other.masks)
@@ -279,10 +277,12 @@ class QuantizedLayer:
 
     def validate(self) -> None:
         """Raise ValueError naming the first field outside the format."""
-        out, cin = self.shape.out_channels, self.shape.in_channels
         lmax = mask_levels(self.mask_bits)
         if not SHIFT_MIN <= self.shift <= SHIFT_MAX:
             raise ValueError(f"shift {self.shift} outside [{SHIFT_MIN}, {SHIFT_MAX}]")
+        if self.scalars.ndim != 2:
+            raise ValueError(f"scalars shape {self.scalars.shape} is not (out, in)")
+        out, cin = self.scalars.shape
         for name, shape in (("scalars", (out, cin)), ("masks", (out, cin, KERNEL_WEIGHTS)),
                             ("biases", (out,))):
             array = getattr(self, name)
@@ -327,11 +327,11 @@ def fit_layer(weights: np.ndarray, biases: np.ndarray, mask_bits: int,
                     masks.reshape(out, cin, KERNEL_WEIGHTS), b)
 
 
-def finish_layer(fit: LayerFit, stride: int = 1, padding: int = 0,
-                 shift_override: int | None = None) -> QuantizedLayer:
-    """The QuantizedLayer of a fit: the shift (the layer's own, or
-    shift_override), 8-bit scalars and 12-bit biases on its grid. Takes
-    over fit.masks.
+def finish_layer(fit: LayerFit, shift: int | None = None) -> QuantizedLayer:
+    """The QuantizedLayer of a fit: the shift (the layer's own, or the
+    given one), 8-bit scalars and 12-bit biases on its grid. Takes over
+    fit.masks. The shift saturates when the peak alpha is not below
+    2**shift, which under the layer's own shift happens only at SHIFT_MAX.
 
     A kernel whose mantissa rounds to zero dequantizes to zero no matter
     what its mask says, so its mask payload is canonicalized to zeros
@@ -339,16 +339,8 @@ def finish_layer(fit: LayerFit, stride: int = 1, padding: int = 0,
     """
     mask_bits, alphas, masks, b = fit
     auto = compute_layer_shift(alphas)
-    if shift_override is None:
-        e = auto.e
-        stats = QuantStats(shift_saturated=auto.saturated, degenerate=auto.degenerate)
-    else:
-        if not SHIFT_MIN <= shift_override <= SHIFT_MAX:
-            raise ValueError(f"shift_override {shift_override} outside [{SHIFT_MIN}, {SHIFT_MAX}]")
-        e = int(shift_override)
-        stats = QuantStats(shift_saturated=float(alphas.max()) >= 2.0 ** e
-                           and alphas.max() > 0,
-                           degenerate=auto.degenerate)
+    e = auto.e if shift is None else int(shift)
+    stats = QuantStats(shift_saturated=bool(alphas.max() >= 2.0 ** e), degenerate=auto.degenerate)
 
     raw = round_half_away(alphas * 2.0 ** (8 - e))
     stats.scalar_saturations = int(np.count_nonzero(raw > SCALAR_MAX))
@@ -361,25 +353,15 @@ def finish_layer(fit: LayerFit, stride: int = 1, padding: int = 0,
     stats.bias_saturations = int(np.count_nonzero((braw < BIAS_MIN) | (braw > BIAS_MAX)))
     bq = np.clip(braw, BIAS_MIN, BIAS_MAX).astype(np.int16)
 
-    out, cin = alphas.shape
-    return QuantizedLayer(
-        shape=ConvSpec(out, cin, stride, padding),
-        mask_bits=mask_bits,
-        shift=int(e),
-        scalars=scalars,
-        masks=masks,
-        biases=bq,
-        stats=stats,
-    )
+    return QuantizedLayer(mask_bits=mask_bits, shift=e, scalars=scalars, masks=masks,
+                          biases=bq, stats=stats)
 
 
 def quantize_layer(weights: np.ndarray, biases: np.ndarray, mask_bits: int,
-                   policy: str = DEFAULT_POLICY, stride: int = 1, padding: int = 0,
-                   shift_override: int | None = None) -> QuantizedLayer:
-    """Quantize an (out, in, 3, 3) weight tensor plus (out,) biases:
-    finish_layer of fit_layer."""
-    return finish_layer(fit_layer(weights, biases, mask_bits, policy), stride, padding,
-                        shift_override)
+                   policy: str = DEFAULT_POLICY) -> QuantizedLayer:
+    """Quantize an (out, in, 3, 3) weight tensor plus (out,) biases under
+    the layer's own shift: finish_layer of fit_layer."""
+    return finish_layer(fit_layer(weights, biases, mask_bits, policy))
 
 
 def dequantize_layer(layer: QuantizedLayer) -> tuple[np.ndarray, np.ndarray]:
@@ -387,5 +369,4 @@ def dequantize_layer(layer: QuantizedLayer) -> tuple[np.ndarray, np.ndarray]:
     step = 2.0 ** (layer.shift - 8)
     alpha_hat = layer.scalars.astype(np.float64) * step
     w = np.multiply(alpha_hat[:, :, None], layer.masks, dtype=np.float64)
-    out, cin = layer.shape.out_channels, layer.shape.in_channels
-    return w.reshape(out, cin, 3, 3), layer.biases.astype(np.float64) * step
+    return w.reshape(*layer.scalars.shape, 3, 3), layer.biases.astype(np.float64) * step

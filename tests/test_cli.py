@@ -442,6 +442,21 @@ def test_report_lists_other_precision_labels_after_the_standard_three(tmp_path, 
         ["fp16", "0.1250"]]
 
 
+def test_report_keeps_the_cells_of_every_repeated_eval_option(tmp_path, capsys):
+    # a second --eval used to replace the first: real.csv's cell was dropped
+    real, int8 = tmp_path / "real.csv", tmp_path / "int8.csv"
+    real.write_text("pipeline,precision,map\nnip,real,0.5\n")
+    int8.write_text("pipeline,precision,map\nnip,int8,0.25\n")
+    outputs = []
+    for argv in (["--eval", str(real), str(int8)], ["--eval", str(real), "--eval", str(int8)]):
+        assert dispatch(["report", *argv]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    rows = outputs[1].splitlines()[2:]
+    assert [row.split()[:2] for row in rows] == [
+        ["real", "0.5000"], ["byte", "-"], ["bit", "-"], ["int8", "0.2500"]]
+    assert outputs[0] == outputs[1]
+
+
 def test_extract_rnip_and_bit_precision(ws, capsys):
     desc = ws["root"] / "rnip_bit.qds"
     assert dispatch(["extract", "--net", str(ws["net"]), "--weights", str(ws["weights"]),

@@ -33,7 +33,7 @@ from qnip.codec import (
     ratio_formula,
     save_model,
 )
-from qnip.network import ConvSpec, init_float_model, load_network, parse_network
+from qnip.network import init_float_model, load_network, parse_network
 from qnip.quantize import QuantizedLayer
 
 
@@ -82,7 +82,6 @@ def test_parse_profile_errors():
 
 def _hand_layer(mask, shift=0, scalar=200, bias=1, mask_bits=1):
     return QuantizedLayer(
-        shape=ConvSpec(1, 1),
         mask_bits=mask_bits,
         shift=shift,
         scalars=np.array([[scalar]], dtype=np.uint8),
@@ -209,7 +208,8 @@ def test_round_trip_identity():
         assert again == compressed
         assert encode(again) == encode(compressed)
         for container in (compressed, again):
-            assert [layer.shape for layer in container.layers] == list(net.conv_specs)
+            assert ([layer.scalars.shape for layer in container.layers]
+                    == [(s.out_channels, s.in_channels) for s in net.conv_specs])
 
 
 def test_list_and_tuple_built_containers_compare_equal():
@@ -325,6 +325,34 @@ def test_decode_rejects_corrupt_layer_headers():
             decode(bytes(corrupt))
 
 
+def test_decode_checks_header_geometry_against_the_network():
+    # the header's geometry is written from the network; a stride or a
+    # padding that disagrees with the metadata network is corruption
+    net = parse_network("input 2 8 8\nconv 3 pad=1\nconv 2 stride=2 tap\n")
+    data = encode(build_compressed_model(
+        net, init_float_model(net, np.random.default_rng(31)), [2, 1]))
+    start = 7 + 8 + 6 + 14 + 5  # layer 1: after layer 0's header, scalars, masks, biases
+    assert struct.unpack_from("<HHBB", data, 7) == (3, 2, 1, 1)
+    assert struct.unpack_from("<HHBB", data, start) == (2, 3, 2, 0)
+    for pos, value, match in [(7 + 4, 2, "layer 0: geometry ConvSpec.*stride=2"),
+                              (7 + 5, 0, "layer 0: geometry ConvSpec.*padding=0"),
+                              (start + 4, 1, "layer 1: geometry ConvSpec.*stride=1"),
+                              (start + 5, 2, "layer 1: geometry ConvSpec.*padding=2")]:
+        corrupt = bytearray(data)
+        corrupt[pos] = value
+        with pytest.raises(CorruptionError, match=f"^{match}.* != network's "):
+            decode(bytes(corrupt))
+
+
+def test_decode_reports_a_layer_count_before_any_geometry():
+    # layer 0's header (padding 0) disagrees with this network's first conv
+    # too, but the count is reported first
+    head, meta = _split_metadata(encode(_hand_model(_hand_layer([1] * 9))))
+    network = "input 1 6 6\nconv 1 pad=1\nconv 1 tap\n"
+    with pytest.raises(CorruptionError, match="^model has 1 quantized layers, network has 2$"):
+        decode(_with_metadata(head, {**meta, "network": network}))
+
+
 def _split_metadata(data):
     """(bytes before the metadata length, parsed metadata block) of a QCM2 stream."""
     start = data.index(b'{"dense"')  # the canonical JSON trailer, after its u32 length
@@ -379,7 +407,11 @@ def test_layer_checks_itself_when_built():
                     dict(scalars=np.array([[256]], np.int16)),
                     dict(biases=np.array([2048], np.int16)),
                     dict(mask_bits=256),
-                    dict(shift=128)]:
+                    dict(shift=128),
+                    # out and in come from scalars, which must be 2-D
+                    dict(scalars=np.array([200], np.uint8)),
+                    dict(masks=np.ones((1, 2, 9), np.int8)),
+                    dict(biases=np.ones(2, np.int16))]:
         field = next(iter(changes))
         with pytest.raises(ValueError, match=f"^{field} "):
             dataclasses.replace(layer, **changes)
@@ -394,14 +426,21 @@ def test_compressed_model_checks_itself_against_its_network():
     for match, changes in [
         ("^model has 2 quantized layers, network has 1$", dict(layers=[layer, layer])),
         ("^model has 0 quantized layers", dict(layers=[])),
-        ("^layer 0: geometry", dict(layers=[dataclasses.replace(layer, shape=ConvSpec(2, 1, 2))])),
-        ("^layer 0: geometry", dict(network=parse_network("input 1 4 4\nconv 2 pad=1\n"))),
+        (r"^layer 0: geometry \(out, in\) \(1, 1\) != network's ConvSpec\(out_channels=2, ",
+         dict(layers=[_hand_layer([1] * 9)])),
+        ("^layer 0: geometry", dict(network=parse_network("input 2 4 4\nconv 2\n"))),
         ("^dense head shapes", dict(dense=[])),
         ("^dense head shapes", dict(dense=[(w.reshape(6, 4), np.zeros(6, np.float32))])),
         ("^dense head shapes", dict(dense=[(w, b[:2])])),
     ]:
         with pytest.raises(ValueError, match=match):
             dataclasses.replace(built, **changes)
+    # stride and padding are the network's: a layer fits any conv of its
+    # (out, in), and the container's headers carry the network's geometry
+    model = _hand_model(_hand_layer([1] * 9))
+    padded = dataclasses.replace(model, network=parse_network("input 1 4 4\nconv 1 pad=1\n"))
+    assert struct.unpack_from("<HHBB", encode(padded), 7) == (1, 1, 1, 1)
+    assert decode(encode(padded)) == padded
 
 
 def test_compressed_model_checks_its_policy_and_checksum_type():

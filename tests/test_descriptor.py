@@ -697,3 +697,34 @@ def test_non_finite_real_rows_are_named_by_id(tmp_path):
         path.write_bytes(bytes(data))
         with pytest.raises(CorruptionError, match=re.escape(f"{path}: {message}")):
             load_descriptors(path)
+
+
+def test_converting_a_non_finite_real_descriptor_is_refused():
+    # a NaN entry used to give all-zero bits with threshold NaN, which
+    # saved and loaded, and a byte scale of NaN after a cast warning
+    for bad in (np.nan, np.inf, -np.inf):
+        desc = Descriptor("real", np.array([bad, 1.0, 0.5]))
+        for precision in ("byte", "bit"):
+            match = ("^descriptor entries must be non-negative$"
+                     if precision == "byte" and bad < 0 else
+                     "^real descriptor holds non-finite values$")
+            with pytest.raises(ValueError, match=match):
+                convert_descriptor(desc, precision)
+    # finite entries still convert, the largest float64 ones included
+    big = Descriptor("real", np.array([np.finfo(np.float64).max, 0.0]))
+    assert quantize_descriptor(big).values.tolist() == [255, 0]
+
+
+def test_stacking_bit_flags_other_than_zero_and_one_is_refused(tmp_path):
+    # packbits used to fold a flag of 2 to 1: [2, 0, 1] saved and loaded as [1, 0, 1]
+    table = {"a": Descriptor("bit", np.array([0, 1, 1], np.uint8), threshold=0.5),
+             "b": Descriptor("bit", np.array([2, 0, 1], np.uint8), threshold=0.5)}
+    with pytest.raises(ValueError, match="^bit descriptor 'b' holds flags other than 0 and 1$"):
+        DescriptorSet.stack(table)
+    path = tmp_path / "bits.qds"
+    with pytest.raises(EncodeError, match="^bit descriptor 'b' holds flags"):
+        save_descriptors(path, table)
+    assert not path.exists()
+    del table["b"]
+    save_descriptors(path, table)
+    assert load_descriptors(path)["a"] == table["a"]

@@ -25,7 +25,7 @@ from qnip.engine import (
     forward,
 )
 from qnip.network import FloatModel, init_float_model, load_network, parse_network
-from qnip.quantize import SHIFT_MAX, SHIFT_MIN, quantize_layer
+from qnip.quantize import SHIFT_MAX, SHIFT_MIN, finish_layer, fit_layer
 
 NET_TEXT = "input 3 12 12\nconv 4 pad=1\npool\nconv 6 tap\nflatten\ndense 5\n"
 
@@ -103,7 +103,7 @@ def integer_codes_loops(net, model, image, exponents):
                      * act_unit + biases[o]) * weight_unit / out_unit)
                for j in range((w + 2 * pad - 3) // stride + 1)]
               for i in range((h + 2 * pad - 3) // stride + 1)]
-             for o in range(layer.shape.out_channels)]
+             for o in range(spec.out_channels)]
         p_in = p_out
         layers.append(np.array(x, dtype=np.int64))
     return layers
@@ -172,9 +172,8 @@ def test_integer_mode_is_exact_at_the_shift_limits(m, shift):
         seed=40 + m, text="input 2 6 6\nconv 3 pad=1\nconv 3 stride=2 pad=1 tap\n")
     rng = np.random.default_rng(140 + m)
     scale = 2.0 ** shift  # alphas land mid-range on the 2**(shift-8) grid
-    layers = [quantize_layer(w * scale, rng.uniform(0.0, 1.0, b.shape) * scale, m,
-                             stride=spec.stride, padding=spec.padding, shift_override=shift)
-              for spec, (w, b) in zip(net.conv_specs, model.conv)]
+    layers = [finish_layer(fit_layer(w * scale, rng.uniform(0.0, 1.0, b.shape) * scale, m), shift)
+              for w, b in model.conv]
     assert all(layer.shift == shift and layer.scalars.any() for layer in layers)
     compressed = CompressedModel(net, layers)
     image = _images(1, shape=(2, 6, 6), seed=240 + m)[0]

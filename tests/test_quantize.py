@@ -1,11 +1,11 @@
 """Kernel quantizer against hand-worked examples and brute-force oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from qnip.network import ConvSpec
 from qnip.quantize import (
     BIAS_MAX,
     BIAS_MIN,
@@ -19,6 +19,7 @@ from qnip.quantize import (
     dequantize_bias,
     dequantize_layer,
     dequantize_scalar,
+    finish_layer,
     fit_layer,
     global_shift,
     layer_alphas_masks,
@@ -249,7 +250,7 @@ def test_quantize_layer_dead_kernels_zeroed():
 def test_quantize_layer_scalar_saturation_stat():
     weights = np.zeros((1, 1, 3, 3))
     weights[0, 0, 0, 0] = 1.0
-    layer = quantize_layer(weights, np.zeros(1), mask_bits=2, shift_override=-2)
+    layer = finish_layer(fit_layer(weights, np.zeros(1), mask_bits=2), -2)
     assert layer.stats.scalar_saturations == 1
     assert layer.scalars[0, 0] == SCALAR_MAX
 
@@ -257,8 +258,10 @@ def test_quantize_layer_scalar_saturation_stat():
 def test_quantize_layer_shapes_and_dtypes():
     rng = np.random.default_rng(17)
     weights, biases = _random_layer(rng, out_ch=5, in_ch=2)
-    layer = quantize_layer(weights, biases, mask_bits=4, stride=2, padding=1)
-    assert layer.shape == ConvSpec(5, 2, stride=2, padding=1)
+    layer = quantize_layer(weights, biases, mask_bits=4)
+    # stride and padding are the network's: the layer keeps only its arrays
+    assert [f.name for f in dataclasses.fields(layer)] == [
+        "mask_bits", "shift", "scalars", "masks", "biases", "stats"]
     assert layer.scalars.shape == (5, 2) and layer.scalars.dtype == np.uint8
     assert layer.masks.shape == (5, 2, 9) and layer.masks.dtype == np.int8
     assert layer.biases.shape == (5,) and layer.biases.dtype == np.int16
@@ -330,13 +333,13 @@ def _row_alphas_masks(flat, mask_bits, policy):
     return alphas, masks
 
 
-def _row_layer(weights, biases, mask_bits, policy, shift_override):
+def _row_layer(weights, biases, mask_bits, policy, shift):
     """(shift, scalars, masks, biases, stats) by the per-row formulas."""
     flat = weights.reshape(-1, 9)
     alphas, masks = _row_alphas_masks(flat, mask_bits, policy)
     auto = compute_layer_shift(alphas)
-    e = auto.e if shift_override is None else shift_override
-    saturated = auto.saturated if shift_override is None else bool(
+    e = auto.e if shift is None else shift
+    saturated = auto.saturated if shift is None else bool(
         alphas.max() >= 2.0 ** e and alphas.max() > 0)
     raw = round_half_away(alphas * 2.0 ** (8 - e))
     scalars = np.clip(raw, 0, SCALAR_MAX).astype(np.uint8)
@@ -377,8 +380,8 @@ def test_blocked_alphas_masks_have_the_bits_of_the_row_formulas(count):
             assert np.array_equal(masks, want_masks), (m, policy)
 
 
-@pytest.mark.parametrize("shift_override", [None, -3])
-def test_quantize_layer_matches_the_row_formulas_with_equal_stats(shift_override):
+@pytest.mark.parametrize("shift", [None, -3])
+def test_quantize_layer_matches_the_row_formulas_with_equal_stats(shift):
     rng = np.random.default_rng(40)
     out, cin = 3, BLOCK_KERNELS // 3 + 2   # K = BLOCK_KERNELS + 6: two blocks
     saturations = 0
@@ -386,15 +389,35 @@ def test_quantize_layer_matches_the_row_formulas_with_equal_stats(shift_override
         weights = _awkward_kernels(rng, out * cin, m).reshape(out, cin, 3, 3)
         biases = np.array([0.0, 3.0, -900.0])
         for policy in (POLICIES if m == 1 else POLICIES[:1]):
-            layer = quantize_layer(weights, biases, m, policy, shift_override=shift_override)
-            e, scalars, masks, bq, stats = _row_layer(weights, biases, m, policy, shift_override)
+            layer = (quantize_layer(weights, biases, m, policy) if shift is None
+                     else finish_layer(fit_layer(weights, biases, m, policy), shift))
+            e, scalars, masks, bq, stats = _row_layer(weights, biases, m, policy, shift)
             assert layer.shift == e
             assert np.array_equal(layer.scalars, scalars.reshape(out, cin))
             assert np.array_equal(layer.masks, masks.reshape(out, cin, 9))
             assert np.array_equal(layer.biases, bq)
             assert layer.stats == stats, (m, policy)
             saturations += stats.scalar_saturations
-    assert (saturations > 0) == (shift_override is not None)  # -3 clamps scalars
+    assert (saturations > 0) == (shift is not None)  # -3 clamps scalars
+
+
+def test_one_saturation_rule_serves_both_shift_sources():
+    # a shift saturates when the peak alpha is not below 2**shift (so is
+    # positive); under the layer's own shift that is compute_layer_shift's flag
+    for value in [0.0, 2.0 ** -9, 2.0 ** -8, 0.3, 1.0, 127.9, 2.0 ** 7, 2.0 ** 7 + 1, 1e6]:
+        weights = np.zeros((1, 2, 3, 3))
+        weights[0, 0] = value  # one kernel of constant weights, one dead
+        alphas = fit_layer(weights, np.zeros(1), 1).alphas
+        peak, auto = float(alphas.max()), compute_layer_shift(alphas)
+        own = quantize_layer(weights, np.zeros(1), 1).stats
+        assert (own.shift_saturated, own.degenerate) == (auto.saturated, auto.degenerate), value
+        assert auto.saturated == (peak >= 2.0 ** SHIFT_MAX), value
+        for e in (SHIFT_MIN, -3, 0, SHIFT_MAX):
+            given = finish_layer(fit_layer(weights, np.zeros(1), 1), e).stats
+            assert given.shift_saturated == (peak >= 2.0 ** e), (value, e)
+            assert given.degenerate == (peak == 0), (value, e)
+    with pytest.raises(ValueError, match=r"^shift 8 outside \[-8, 7\]"):
+        finish_layer(fit_layer(np.ones((1, 1, 3, 3)), np.zeros(1), 1), SHIFT_MAX + 1)
 
 
 @pytest.mark.parametrize("errors", [{}, {"all": "raise", "under": "ignore"}])

@@ -10,7 +10,7 @@ from qnip.codec import build_compressed_model, dequantized_float_model, encode
 from qnip.engine import accuracy
 from qnip.network import (ConvSpec, DenseSpec, FlattenSpec, PoolSpec, init_float_model,
                           load_network, model_checksum, parse_network)
-from qnip.quantize import dequantize_layer, fit_layer, global_shift, quantize_layer
+from qnip.quantize import dequantize_layer, finish_layer, fit_layer, global_shift
 from qnip.train import (
     DivergenceError,
     TrainConfig,
@@ -192,10 +192,8 @@ def test_quantized_view_mixes_float_and_quantized_layers():
     e = global_shift([fit_layer(w, b, m, config.policy).alphas
                       for (w, b), m in zip(shadow.conv, profile) if m is not None])
     for i in (0, 2):
-        shape = net.conv_specs[i]
         w, b = shadow.conv[i]
-        want = dequantize_layer(quantize_layer(w, b, profile[i], config.policy, shape.stride,
-                                               shape.padding, shift_override=e))
+        want = dequantize_layer(finish_layer(fit_layer(w, b, profile[i], config.policy), e))
         assert all(np.array_equal(got, ref) for got, ref in zip(view[i], want))
     with pytest.raises(ValueError, match="sentinel"):
         build_compressed_model(net, shadow, profile, shift_scope="global")
