@@ -3,8 +3,8 @@
 Verbs: quantize, inspect, ratio, infer, train, retrain, extract, index,
 search, eval, report. Results go to stdout, progress and errors to
 stderr. Exit codes: 0 success, 1 usage error, 2 data/format error,
-3 numerical failure. Every verb accepts --seed (default 0) and re-running
-a verb with the same seed and inputs writes byte-identical artifacts.
+3 numerical failure. train and retrain take --seed (default 0). Re-running
+a verb with the same inputs and seed writes byte-identical artifacts.
 """
 from __future__ import annotations
 
@@ -69,16 +69,16 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="qnip", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="verb", metavar="VERB")
 
-    def verb(name, help_text):
+    def verb(name, help_text, run):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+        p.set_defaults(run=run)
         return p
 
-    p = verb("ratio", "per-kernel compression ratio for a bit split")
+    p = verb("ratio", "per-kernel compression ratio for a bit split", _cmd_ratio)
     p.add_argument("--mask-bits", type=int, required=True)
-    p.add_argument("--scalar-bits", type=int, default=8)
+    p.add_argument("--scalar-bits", type=int, default=quantize.SCALAR_BITS)
 
-    p = verb("quantize", "compress float weights into a container")
+    p = verb("quantize", "compress float weights into a container", _cmd_quantize)
     p.add_argument("--net", required=True)
     p.add_argument("--weights", required=True)
     p.add_argument("--profile", required=True, help='per-layer mask bits, e.g. "3x7,1x6"')
@@ -86,12 +86,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--shift-scope", default="layer", choices=codec.SHIFT_SCOPES)
     p.add_argument("--out", required=True)
 
-    p = verb("inspect", "layer table, ratio and sizes of a container")
+    p = verb("inspect", "layer table, ratio and sizes of a container", _cmd_inspect)
     p.add_argument("model", nargs="?", help="a .qcm file")
     p.add_argument("--net", help="architecture config (accounting-only mode)")
     p.add_argument("--profile", help="profile for accounting-only mode")
 
-    p = verb("infer", "classify one image")
+    p = verb("infer", "classify one image", _cmd_infer)
     p.add_argument("--net", required=True)
     p.add_argument("--weights", required=True)
     p.add_argument("--image", required=True)
@@ -99,7 +99,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--topk", type=int, default=5)
     p.add_argument("--calib", help="directory of calibration images (integer mode)")
 
-    p = verb("train", "train a float model from scratch")
+    p = verb("train", "train a float model from scratch", _cmd_train)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--net", required=True)
     p.add_argument("--data", required=True, help="directory with .img files and labels.txt")
     p.add_argument("--epochs", type=int, default=10)
@@ -108,7 +109,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output float weights (.qfw)")
     p.add_argument("--metrics", help="per-epoch CSV")
 
-    p = verb("retrain", "quantization-aware retraining of a float model")
+    p = verb("retrain", "quantization-aware retraining of a float model", _cmd_retrain)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--net", required=True)
     p.add_argument("--weights", required=True, help="pretrained float weights (.qfw)")
     p.add_argument("--data", required=True)
@@ -123,7 +125,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--shadow", help="also save final full-precision shadow (.qfw)")
     p.add_argument("--metrics", help="per-epoch CSV")
 
-    p = verb("extract", "descriptors for a directory of images")
+    p = verb("extract", "descriptors for a directory of images", _cmd_extract)
     p.add_argument("--net", required=True)
     p.add_argument("--weights", required=True)
     p.add_argument("--images", required=True)
@@ -138,17 +140,17 @@ def _build_parser() -> _Parser:
                    help="worker cap (default $QNIP_JOBS or 1)")
     p.add_argument("--out", required=True)
 
-    p = verb("index", "merge descriptor files into one index")
+    p = verb("index", "merge descriptor files into one index", _cmd_index)
     p.add_argument("--desc", nargs="+", required=True)
     p.add_argument("--out", required=True)
 
-    p = verb("search", "rank the index against one stored query")
+    p = verb("search", "rank the index against one stored query", _cmd_search)
     p.add_argument("--index", required=True)
     p.add_argument("--query-id", required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--out", help="write results CSV here as well")
 
-    p = verb("eval", "mean average precision against ground truth")
+    p = verb("eval", "mean average precision against ground truth", _cmd_eval)
     p.add_argument("--index", required=True)
     p.add_argument("--ground-truth", required=True)
     p.add_argument("--pipeline", default="nip", help="label for the report grid")
@@ -156,7 +158,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", help="write 'pipeline,precision,map' CSV")
     p.add_argument("--results", help="write full ranked results CSV")
 
-    p = verb("report", "mAP grid over pipelines and precisions, plus model size")
+    p = verb("report", "mAP grid over pipelines and precisions, plus model size", _cmd_report)
     p.add_argument("--eval", nargs="+", action="extend", required=True, dest="evals",
                    help="CSV files produced by the eval verb (repeatable)")
     p.add_argument("--model", help="a .qcm whose sizes close the report")
@@ -405,21 +407,6 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "ratio": _cmd_ratio,
-    "quantize": _cmd_quantize,
-    "inspect": _cmd_inspect,
-    "infer": _cmd_infer,
-    "train": _cmd_train,
-    "retrain": _cmd_retrain,
-    "extract": _cmd_extract,
-    "index": _cmd_index,
-    "search": _cmd_search,
-    "eval": _cmd_eval,
-    "report": _cmd_report,
-}
-
-
 def dispatch(argv) -> int:
     parser = _build_parser()
     try:
@@ -427,7 +414,7 @@ def dispatch(argv) -> int:
         if not args.verb:
             raise _UsageError("missing verb; try --help")
         with np.errstate(**_NUMERIC_ERRORS):
-            return _HANDLERS[args.verb](args)
+            return args.run(args)
     except _UsageError as err:
         _say(str(err))
         return EXIT_USAGE

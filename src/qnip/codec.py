@@ -29,9 +29,8 @@ head as base64 float32 arrays — dense layers are outside the 3x3-conv
 compression scheme and ride along uncompressed so a checkpoint stays
 self-contained.
 
-Compression arithmetic: a 3x3 kernel of z = 9 float32 weights (288 bits)
-becomes z m-bit mask values plus one s-bit scalar, so the per-kernel ratio
-is 32z / (zm + s).
+The number format (field widths, mask widths, shift range, the 2**(e-8)
+grid) is stated in quantize; this module lays it out in bytes.
 """
 from __future__ import annotations
 
@@ -51,14 +50,14 @@ from .binfile import (CodecError, CorruptionError, EncodeError,  # noqa: F401 (r
 from .network import (ConvSpec, FloatModel, NetworkDefinition, check_model_matches,
                       model_checksum, parse_network)
 from .ops import KERNEL_WEIGHTS
-from .quantize import (DEFAULT_POLICY, POLICIES, QuantizedLayer, dequantize_layer,
-                       finish_layer, fit_layer, global_shift, mask_levels, quantize_layer)
+from .quantize import (BIAS_BITS, DEFAULT_POLICY, MASK_BITS_RANGE, POLICIES, SCALAR_BITS,
+                       QuantizedLayer, dequantize_layer, finish_layer, fit_layer,
+                       global_shift, mask_width, quantize_layer)
 
 MAGIC = b"QCM2"
 _KIND = "a compressed-model container"
 VERSION = 1
 KERNEL_BITS_FLOAT = 32 * KERNEL_WEIGHTS  # 288 bits per float32 kernel
-BIAS_BITS = 12
 SHIFT_SCOPES = ("layer", "global")
 
 
@@ -69,8 +68,8 @@ class UnsupportedVersionError(CodecError):
 # ---------------------------------------------------------------------------
 # accounting
 
-def ratio_formula(mask_bits: int, scalar_bits: int = 8) -> float:
-    """Per-kernel compression ratio 32*9 / (9*m + s)."""
+def ratio_formula(mask_bits: int, scalar_bits: int = SCALAR_BITS) -> float:
+    """Per-kernel compression ratio 32z / (zm + s), z = 9 float32 weights per kernel."""
     if mask_bits < 1:
         raise ValueError(f"mask_bits must be >= 1, got {mask_bits}")
     if scalar_bits < 0:
@@ -100,31 +99,28 @@ def parse_profile(text: str, n_layers: int | None = None) -> list[int | None]:
             continue
         if not head.isdigit():
             raise ValueError(f"bad mask width in profile entry {entry!r}")
-        mask_levels(int(head))  # range check, 1..5
-        profile.extend([int(head)] * count)
+        profile.extend([mask_width(int(head))] * count)
     if n_layers is not None and len(profile) != n_layers:
         raise ValueError(
             f"profile {text!r} covers {len(profile)} layers, network has {n_layers}")
     return profile
 
 
-def _checked_profile(net: NetworkDefinition, profile) -> list[int]:
+def _checked_profile(net: NetworkDefinition, profile, float_ok: bool = False) -> list:
     prof = list(profile)
     if len(prof) != len(net.conv_specs):
         raise ValueError(f"profile covers {len(prof)} layers, network has {len(net.conv_specs)}")
-    for m in prof:
-        if m is None:
-            raise ValueError("float-layer sentinel not allowed here; profile must be all-integer")
-        mask_levels(int(m))
-    return [int(m) for m in prof]
+    if None in prof and not float_ok:
+        raise ValueError("float-layer sentinel not allowed here; profile must be all-integer")
+    return [None if m is None else mask_width(m) for m in prof]
 
 
 def model_ratio(net: NetworkDefinition, profile) -> float:
-    """Overall conv-weight compression ratio under a per-layer profile (8-bit scalars)."""
+    """Overall conv-weight compression ratio under a per-layer profile."""
     prof = _checked_profile(net, profile)
     pairs = [s.out_channels * s.in_channels for s in net.conv_specs]
     float_bits = sum(KERNEL_BITS_FLOAT * p for p in pairs)
-    packed_bits = sum(p * (KERNEL_WEIGHTS * m + 8) for p, m in zip(pairs, prof))
+    packed_bits = sum(p * (KERNEL_WEIGHTS * m + SCALAR_BITS) for p, m in zip(pairs, prof))
     return float_bits / packed_bits
 
 
@@ -168,10 +164,11 @@ def model_sizes(net: NetworkDefinition, profile, policy: str = DEFAULT_POLICY,
 
 @dataclass(frozen=True, eq=False)
 class CompressedModel:
-    """Immutable: layers and dense pairs become tuples, every array read-only.
-    Building one (replace included) raises ValueError unless its layers and
-    dense head match the network, its policy is one of POLICIES and its
-    source checksum is a string. It builds one dequantized weight set on first
+    """Immutable: layers and dense pairs become tuples, every array read-only,
+    and the dense head float32 (copied only when it is not). Building one
+    (replace included) raises ValueError unless its layers and dense head
+    match the network, its policy is one of POLICIES and its source
+    checksum is a string. It builds one dequantized weight set on first
     use and keeps it while it lives; a dataclasses.replace copy builds its own.
     Threads racing on first use may each build identical weights (no lock on
     Python 3.12+); one is kept."""
@@ -184,7 +181,8 @@ class CompressedModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "layers", tuple(self.layers))
-        object.__setattr__(self, "dense", tuple((w, b) for w, b in self.dense))
+        object.__setattr__(self, "dense", tuple(
+            (np.asarray(w, np.float32), np.asarray(b, np.float32)) for w, b in self.dense))
         specs = self.network.conv_specs
         if len(self.layers) != len(specs):
             raise ValueError(
@@ -219,8 +217,7 @@ class CompressedModel:
         if not isinstance(other, CompressedModel):
             return NotImplemented
         return (self.network == other.network
-                and self.layers == other.layers
-                and len(self.dense) == len(other.dense)
+                and self.layers == other.layers  # equal networks: equal dense counts
                 and all(np.array_equal(a, c) and np.array_equal(b, d)
                         for (a, b), (c, d) in zip(self.dense, other.dense))
                 and self.policy == other.policy
@@ -240,13 +237,11 @@ def quantize_conv_layers(net: NetworkDefinition, conv, profile, policy: str = DE
         raise ValueError(f"unknown policy {policy!r}")
     if shift_scope not in SHIFT_SCOPES:
         raise ValueError(f"shift_scope must be one of {SHIFT_SCOPES}, got {shift_scope!r}")
-    if len(profile) != len(net.conv_specs):
-        raise ValueError(f"profile covers {len(profile)} layers, "
-                         f"network has {len(net.conv_specs)}")
+    profile = _checked_profile(net, profile, float_ok=True)
     if shift_scope == "layer":
-        return [None if m is None else quantize_layer(w, b, int(m), policy)
+        return [None if m is None else quantize_layer(w, b, m, policy)
                 for (w, b), m in zip(conv, profile)]
-    fits = [None if m is None else fit_layer(w, b, int(m), policy)
+    fits = [None if m is None else fit_layer(w, b, m, policy)
             for (w, b), m in zip(conv, profile)]
     e = global_shift([fit.alphas for fit in fits if fit is not None])
     return [None if fit is None else finish_layer(fit, e) for fit in fits]
@@ -267,8 +262,7 @@ def build_compressed_model(net: NetworkDefinition, model: FloatModel, profile,
     with ThreadPoolExecutor(max_workers=1) as pool:
         checksum = pool.submit(model_checksum, model)
         layers = quantize_conv_layers(net, model.conv, profile, policy, shift_scope)
-        dense = [(np.asarray(w, np.float32), np.asarray(b, np.float32)) for w, b in model.dense]
-        return CompressedModel(net, layers, dense, policy, checksum.result())
+        return CompressedModel(net, layers, model.dense, policy, checksum.result())
 
 
 def dequantized_float_model(model: CompressedModel) -> FloatModel:
@@ -303,14 +297,8 @@ def _unpack_fields(packed: np.ndarray, width: int, count: int) -> np.ndarray:
 
 def _metadata_bytes(net: NetworkDefinition, dense, policy: str, source: str) -> bytes:
     payload = {
-        "dense": [
-            {
-                "b": base64.b64encode(np.ascontiguousarray(b, np.float32).tobytes()).decode(),
-                "shape": [int(w.shape[0]), int(w.shape[1])],
-                "w": base64.b64encode(np.ascontiguousarray(w, np.float32).tobytes()).decode(),
-            }
-            for w, b in dense
-        ],
+        "dense": [{"b": base64.b64encode(b.tobytes()).decode(), "shape": list(w.shape),
+                   "w": base64.b64encode(w.tobytes()).decode()} for w, b in dense],  # float32
         "network": net.to_text(),
         "policy": policy,
         "source": source,
@@ -349,8 +337,9 @@ def _decode(rd: Reader) -> CompressedModel:
     layers, geometry = [], []
     for i in range(layer_count):
         out, cin, stride, padding, m, e = rd.unpack("<HHBBBb", f"layer {i} header")
-        if not 1 <= m <= 5:
-            raise CorruptionError(f"layer {i}: mask width {m} outside 1..5")
+        if not MASK_BITS_RANGE[0] <= m <= MASK_BITS_RANGE[1]:
+            raise CorruptionError(f"layer {i}: mask width {m} outside "
+                                  f"{MASK_BITS_RANGE[0]}..{MASK_BITS_RANGE[1]}")
         pairs = out * cin
         mask_bytes, bias_bytes = _section_bytes(out, cin, m)
         scalars = rd.array(np.uint8, pairs, f"layer {i} scalars")

@@ -212,6 +212,8 @@ def quantize_descriptor(desc: Descriptor) -> Descriptor:
     if desc.precision != "real":
         raise ValueError(f"can only quantize real descriptors, got {desc.precision!r}")
     values = np.asarray(desc.values, dtype=np.float64)
+    if not values.size:
+        raise ValueError("real descriptor is empty")
     if np.minimum.reduce(values, initial=0.0) < 0.0:
         raise ValueError("descriptor entries must be non-negative")
     scale = float(np.maximum.reduce(values, initial=0.0))
@@ -237,6 +239,8 @@ def binarize_descriptor(desc: Descriptor) -> Descriptor:
     if desc.precision != "real":
         raise ValueError(f"can only binarize real descriptors, got {desc.precision!r}")
     values = np.asarray(desc.values, dtype=np.float64)
+    if not values.size:
+        raise ValueError("real descriptor is empty")
     threshold = float(np.add.reduce(values) / values.size)  # ndarray.mean's arithmetic
     if not math.isfinite(threshold):  # any NaN or inf entry, or a sum past the float64 range
         raise ValueError("real descriptor holds non-finite values")
@@ -287,11 +291,13 @@ class DescriptorSet(Mapping[str, Descriptor]):
     """
 
     def __init__(self, ids, precision: str, dim: int, rows: np.ndarray, meta: np.ndarray):
-        """Sort the rows by id and check them: ids unique, real values
+        """Sort the rows by id and check them: dim >= 1, ids unique, real values
         finite, byte scales finite and >= 0. Raises ValueError. The
         arrays are taken over and made read-only."""
         if precision not in PRECISIONS:
             raise ValueError(f"unknown precision {precision!r}")
+        if dim < 1:
+            raise ValueError(f"descriptor length {dim} is below 1")
         ids = np.array(ids, dtype=object)
         rows = np.asarray(rows, np.float64 if precision == "real" else np.uint8)
         meta = np.asarray(meta, np.float64)

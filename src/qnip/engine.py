@@ -41,7 +41,8 @@ from .codec import CompressedModel
 from .codec import dequantized_float_model  # noqa: F401 (perfbench's tracer test reads it here)
 from .network import (ConvSpec, DenseSpec, FlattenSpec, FloatModel, NetworkDefinition,
                       PoolSpec, check_model_matches)
-from .quantize import SHIFT_MAX, SHIFT_MIN, compute_layer_shift, mask_levels, round_half_away
+from .quantize import (SHIFT_MAX, SHIFT_MIN, check_shift, compute_layer_shift, mask_levels,
+                       round_half_away)
 
 MODES = ("float", "dequantized", "integer")
 
@@ -58,7 +59,7 @@ def check_accumulator_bounds(net: NetworkDefinition, profile) -> None:
     stays below 2**39 < 2**53, so the float64 GEMM computes it exactly.
     """
     for i, (shape, m) in enumerate(zip(net.conv_specs, profile)):
-        worst = shape.in_channels * ops.KERNEL_WEIGHTS * ACT_MAX * mask_levels(int(m))
+        worst = shape.in_channels * ops.KERNEL_WEIGHTS * ACT_MAX * mask_levels(m)
         if worst >= INT32_LIMIT:
             raise ValueError(
                 f"conv{i + 1}: masked accumulator worst case {worst} "
@@ -136,10 +137,9 @@ def _prepare(net: NetworkDefinition, weights, mode: str,
             raise ValueError(
                 f"need {len(weights.layers) + 1} activation exponents "
                 f"(input plus one per conv), got {len(act_exponents)}")
-        p = [int(e) for e in act_exponents]
-        if p != list(act_exponents) or not all(SHIFT_MIN <= e <= SHIFT_MAX for e in p):
-            raise ValueError(f"activation exponents {list(act_exponents)} must be integers "
-                             f"in [{SHIFT_MIN}, {SHIFT_MAX}]")
+        error = (f"activation exponents {list(act_exponents)} must be integers "
+                 f"in [{SHIFT_MIN}, {SHIFT_MAX}]")
+        p = [check_shift(e, error) for e in act_exponents]
     model = weights if mode == "float" else weights.dequantized
     if mode != "integer":
         convs = [partial(_conv, s, w, b, _relu) for s, (w, b) in zip(net.conv_specs, model.conv)]

@@ -1,13 +1,15 @@
 """Fixed-point conv-weight quantization: per-kernel scalar times integer mask.
 
-Each 3x3 kernel slice w (9 reals) is approximated as alpha * M where M is a
-9-vector of m-bit signed integers (m in 1..5) and alpha is a non-negative
-scalar stored as an 8-bit mantissa against a single per-layer power-of-two
-shift e in [-8, 7]:
+Each 3x3 kernel slice w (9 reals) is approximated as alpha * M, where M is
+a 9-vector of m-bit signed integers (m in MASK_BITS_RANGE) and alpha is a
+SCALAR_BITS mantissa a against one per-layer shift e in [SHIFT_MIN, SHIFT_MAX]:
 
-    alpha_hat = a * 2**(e - 8),  a in 0..255
+    alpha_hat = a * 2**(e - 8),  a in 0..SCALAR_MAX
 
-Biases are kept as 12-bit signed integers on the same 2**(e-8) grid.
+Biases are BIAS_BITS signed integers on the same grid. This module states
+that format (the QCM2 number format) once: _to_grid rounds onto the grid,
+_grid_step reads it back, and mask_width and check_shift accept only whole
+numbers (2.0, not 2.5), which QuantizedLayer holds as int.
 
 Two 1-bit mask rules are provided:
 
@@ -25,19 +27,15 @@ alphas and masks, which do not depend on the shift, and finish_layer picks
 the shift and rounds the scalars and biases onto its grid. A global-shift
 build fits every layer once, then finishes each under the shared shift.
 
-layer_alphas_masks evaluates a layer in blocks of BLOCK_KERNELS kernels
-through buffers reused from block to block, so a block's weights and its
-temporaries stay in L2 cache. Its kernel mean adds the nine column views
-of a block in the order np.add.reduce takes for nine terms,
-(((w0+w1) + (w2+w3)) + ((w4+w5) + (w6+w7))) + w8, and then divides by 9,
-so every alpha has the bits of w.mean(axis=1) over the (K, 9) matrix; the
-multi-bit max is a column max. Finiteness is checked on a block's alphas,
-which any inf or NaN weight makes non-finite; the weights themselves are
-scanned only when an alpha is.
+layer_alphas_masks works through BLOCK_KERNELS kernels at a time in reused
+buffers. Its kernel mean adds in np.add.reduce's order (_kernel_means), so
+every alpha has the bits of w.mean(axis=1). Finiteness is checked on a
+block's alphas; the weights are scanned only when an alpha is not finite.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -49,21 +47,38 @@ POLICIES = ("xnor-abs-mean", "literal-mean")
 DEFAULT_POLICY = "xnor-abs-mean"
 
 SHIFT_MIN, SHIFT_MAX = -8, 7
-SCALAR_MAX = 255
-BIAS_MIN, BIAS_MAX = -2048, 2047
+SCALAR_BITS, BIAS_BITS = 8, 12
+SCALAR_MAX = 2 ** SCALAR_BITS - 1
+BIAS_MIN, BIAS_MAX = -2 ** (BIAS_BITS - 1), 2 ** (BIAS_BITS - 1) - 1
 MASK_BITS_RANGE = (1, 5)
 # 16k kernels of nine float64 weights fill 1.2 MB, so a block and its
 # buffers stay in a core's L2 cache
 BLOCK_KERNELS = 16384
 
 
-def mask_levels(mask_bits: int) -> int:
+def _whole_in(value, lo: int, hi: int, error: str) -> int:
+    """value as an int if it is a whole number in [lo, hi], else ValueError(error)."""
+    if not (isinstance(value, numbers.Real) and lo <= value <= hi and value % 1 == 0):
+        raise ValueError(error)
+    return int(value)  # a whole number, so nothing is truncated
+
+
+def mask_width(mask_bits) -> int:
+    """mask_bits as an int; ValueError unless it is a whole number in MASK_BITS_RANGE."""
+    return _whole_in(mask_bits, *MASK_BITS_RANGE,
+                     f"mask_bits must be an integer in {MASK_BITS_RANGE}, got {mask_bits}")
+
+
+def check_shift(e, error: str | None = None) -> int:
+    """e as an int; ValueError(error) unless it is a whole number in [SHIFT_MIN, SHIFT_MAX]."""
+    return _whole_in(e, SHIFT_MIN, SHIFT_MAX,
+                     error or f"shift {e} outside [{SHIFT_MIN}, {SHIFT_MAX}]")
+
+
+def mask_levels(mask_bits) -> int:
     """Largest mask magnitude L for an m-bit mask."""
-    if not MASK_BITS_RANGE[0] <= mask_bits <= MASK_BITS_RANGE[1]:
-        raise ValueError(f"mask_bits must be in {MASK_BITS_RANGE}, got {mask_bits}")
-    if mask_bits == 1:
-        return 1
-    return 2 ** (mask_bits - 1) - 1
+    m = mask_width(mask_bits)
+    return 1 if m == 1 else 2 ** (m - 1) - 1
 
 
 def round_half_away(x):
@@ -104,26 +119,37 @@ def global_shift(alphas) -> int:
     return compute_layer_shift(np.array([0.0, *(a.max() for a in alphas)])).e
 
 
+def _to_grid(values, e: int, lo: int, hi: int) -> tuple[np.ndarray, int]:
+    """Codes of values on the 2**(e-8) grid, rounded half away from zero and
+    clipped to lo..hi, and how many of them the clip changed."""
+    raw = round_half_away(np.multiply(values, 2.0 ** (8 - e)))
+    codes = np.clip(raw, lo, hi)
+    return codes, int(np.count_nonzero(raw != codes))
+
+
+def _grid_step(e: int) -> float:
+    """The value of one code on the 2**(e-8) grid."""
+    return 2.0 ** (e - 8)
+
+
 def quantize_scalar(alpha: float, e: int) -> int:
     """8-bit mantissa of alpha against the 2**(e-8) grid, clamped to 0..255."""
     if alpha < 0:
         raise ValueError(f"alpha must be non-negative, got {alpha}")
-    a = int(round_half_away(alpha * 2.0 ** (8 - e)))
-    return min(max(a, 0), SCALAR_MAX)
+    return int(_to_grid(alpha, e, 0, SCALAR_MAX)[0])
 
 
 def dequantize_scalar(a: int, e: int) -> float:
-    return float(a) * 2.0 ** (e - 8)
+    return float(a) * _grid_step(e)
 
 
 def quantize_bias(b: float, e: int) -> int:
     """12-bit signed bias on the 2**(e-8) grid, clamped to [-2048, 2047]."""
-    q = int(round_half_away(b * 2.0 ** (8 - e)))
-    return min(max(q, BIAS_MIN), BIAS_MAX)
+    return int(_to_grid(b, e, BIAS_MIN, BIAS_MAX)[0])
 
 
 def dequantize_bias(q: int, e: int) -> float:
-    return float(q) * 2.0 ** (e - 8)
+    return float(q) * _grid_step(e)
 
 
 def _kernel_matrix(weights: np.ndarray) -> np.ndarray:
@@ -246,12 +272,11 @@ class QuantStats:
 
 @dataclass(frozen=True, eq=False)
 class QuantizedLayer:
-    """One conv layer in compressed form, immutable: arrays read-only once built.
+    """One conv layer in compressed form, immutable, checked when built (__post_init__).
 
     scalars: (out, in) uint8 mantissas; masks: (out, in, 9) int8;
-    biases: (out,) int16 in [-2048, 2047]; shift: shared exponent e.
+    biases: (out,) int16 in [BIAS_MIN, BIAS_MAX]; shift: shared exponent e.
     Stride and padding are the network's (its conv_specs), not the layer's.
-    Building one (dataclasses.replace included) runs validate.
     """
 
     mask_bits: int
@@ -262,24 +287,10 @@ class QuantizedLayer:
     stats: QuantStats | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.validate()
-        for array in (self.scalars, self.masks, self.biases):
-            array.flags.writeable = False
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QuantizedLayer):
-            return NotImplemented
-        return (self.mask_bits == other.mask_bits
-                and self.shift == other.shift
-                and np.array_equal(self.scalars, other.scalars)
-                and np.array_equal(self.masks, other.masks)
-                and np.array_equal(self.biases, other.biases))
-
-    def validate(self) -> None:
-        """Raise ValueError naming the first field outside the format."""
+        """Hold mask_bits and shift as int, check every field, make the arrays read-only."""
+        object.__setattr__(self, "mask_bits", mask_width(self.mask_bits))
+        object.__setattr__(self, "shift", check_shift(self.shift))
         lmax = mask_levels(self.mask_bits)
-        if not SHIFT_MIN <= self.shift <= SHIFT_MAX:
-            raise ValueError(f"shift {self.shift} outside [{SHIFT_MIN}, {SHIFT_MAX}]")
         if self.scalars.ndim != 2:
             raise ValueError(f"scalars shape {self.scalars.shape} is not (out, in)")
         out, cin = self.scalars.shape
@@ -291,13 +302,24 @@ class QuantizedLayer:
             if not np.issubdtype(array.dtype, np.integer):
                 raise ValueError(f"{name} must hold integers, got dtype {array.dtype}")
         if self.scalars.min(initial=0) < 0 or self.scalars.max(initial=0) > SCALAR_MAX:
-            raise ValueError("scalars outside 0..255")
+            raise ValueError(f"scalars outside 0..{SCALAR_MAX}")
         if self.masks.min(initial=0) < -lmax or self.masks.max(initial=0) > lmax:
             raise ValueError(f"masks exceed +-{lmax} for {self.mask_bits}-bit masks")
         if self.mask_bits == 1 and np.count_nonzero(self.masks) != self.masks.size:
             raise ValueError("1-bit masks must be +-1")
         if self.biases.min(initial=0) < BIAS_MIN or self.biases.max(initial=0) > BIAS_MAX:
-            raise ValueError("biases outside the 12-bit signed range")
+            raise ValueError(f"biases outside the {BIAS_BITS}-bit signed range")
+        for array in (self.scalars, self.masks, self.biases):
+            array.flags.writeable = False
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, QuantizedLayer):
+            return NotImplemented
+        return (self.mask_bits == other.mask_bits
+                and self.shift == other.shift
+                and np.array_equal(self.scalars, other.scalars)
+                and np.array_equal(self.masks, other.masks)
+                and np.array_equal(self.biases, other.biases))
 
 
 class LayerFit(NamedTuple):
@@ -323,7 +345,7 @@ def fit_layer(weights: np.ndarray, biases: np.ndarray, mask_bits: int,
     if not np.all(np.isfinite(b)):
         raise ValueError("biases contain non-finite values")
     alphas, masks = layer_alphas_masks(w, mask_bits, policy)
-    return LayerFit(int(mask_bits), alphas.reshape(out, cin),
+    return LayerFit(mask_width(mask_bits), alphas.reshape(out, cin),
                     masks.reshape(out, cin, KERNEL_WEIGHTS), b)
 
 
@@ -339,22 +361,16 @@ def finish_layer(fit: LayerFit, shift: int | None = None) -> QuantizedLayer:
     """
     mask_bits, alphas, masks, b = fit
     auto = compute_layer_shift(alphas)
-    e = auto.e if shift is None else int(shift)
-    stats = QuantStats(shift_saturated=bool(alphas.max() >= 2.0 ** e), degenerate=auto.degenerate)
-
-    raw = round_half_away(alphas * 2.0 ** (8 - e))
-    stats.scalar_saturations = int(np.count_nonzero(raw > SCALAR_MAX))
-    scalars = np.clip(raw, 0, SCALAR_MAX).astype(np.uint8)
-
+    e = auto.e if shift is None else check_shift(shift)
+    scalars, scalar_saturations = _to_grid(alphas, e, 0, SCALAR_MAX)
+    biases, bias_saturations = _to_grid(b, e, BIAS_MIN, BIAS_MAX)
+    scalars = scalars.astype(np.uint8)
     if mask_bits >= 2:
         masks[scalars == 0] = 0  # dead kernels carry no payload
-
-    braw = round_half_away(b * 2.0 ** (8 - e))
-    stats.bias_saturations = int(np.count_nonzero((braw < BIAS_MIN) | (braw > BIAS_MAX)))
-    bq = np.clip(braw, BIAS_MIN, BIAS_MAX).astype(np.int16)
-
+    stats = QuantStats(scalar_saturations, bias_saturations,
+                       bool(alphas.max() >= 2.0 ** e), auto.degenerate)
     return QuantizedLayer(mask_bits=mask_bits, shift=e, scalars=scalars, masks=masks,
-                          biases=bq, stats=stats)
+                          biases=biases.astype(np.int16), stats=stats)
 
 
 def quantize_layer(weights: np.ndarray, biases: np.ndarray, mask_bits: int,
@@ -366,7 +382,7 @@ def quantize_layer(weights: np.ndarray, biases: np.ndarray, mask_bits: int,
 
 def dequantize_layer(layer: QuantizedLayer) -> tuple[np.ndarray, np.ndarray]:
     """Reconstruct float64 (out, in, 3, 3) weights and (out,) biases."""
-    step = 2.0 ** (layer.shift - 8)
+    step = _grid_step(layer.shift)
     alpha_hat = layer.scalars.astype(np.float64) * step
     w = np.multiply(alpha_hat[:, :, None], layer.masks, dtype=np.float64)
     return w.reshape(*layer.scalars.shape, 3, 3), layer.biases.astype(np.float64) * step

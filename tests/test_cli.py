@@ -148,6 +148,18 @@ def test_train_writes_metrics_and_is_deterministic(ws):
     assert ws["weights"].read_bytes() == first
 
 
+def test_seed_is_an_option_of_train_and_retrain_only(ws, capsys):
+    assert dispatch(["ratio", "--seed", "1", "--mask-bits", "1"]) == EXIT_USAGE
+    assert "--seed" in capsys.readouterr().err
+    base = ["train", "--net", str(ws["net"]), "--data", str(ws["data"]),
+            "--epochs", "3", "--lr", "0.1", "--batch-size", "4"]
+    outs = {seed: ws["root"] / f"seed{seed}.qfw" for seed in ("0", "1")}
+    for seed, out in outs.items():
+        assert dispatch(base + ["--seed", seed, "--out", str(out)]) == EXIT_OK
+    assert outs["0"].read_bytes() == ws["weights"].read_bytes()  # 0 is the default
+    assert outs["1"].read_bytes() != outs["0"].read_bytes()
+
+
 def test_quantize_inspect_infer_flow(ws, capsys):
     qcm = ws["root"] / "model.qcm"
     rc = dispatch(["quantize", "--net", str(ws["net"]), "--weights", str(ws["weights"]),

@@ -33,6 +33,7 @@ from qnip.codec import (
     ratio_formula,
     save_model,
 )
+from qnip.engine import forward
 from qnip.network import init_float_model, load_network, parse_network
 from qnip.quantize import QuantizedLayer
 
@@ -380,14 +381,14 @@ def test_decode_rejects_reshaped_dense_head():
 
 
 def test_encode_validates_layers():
-    # validate runs whenever a layer is built, so a mask out of range for
+    # a layer checks itself whenever it is built, so a mask out of range for
     # its width is refused before encode could be handed it
     with pytest.raises(ValueError, match=r"^masks exceed \+-1 for 1-bit masks"):
         _hand_layer([2] * 9)
 
 
 def test_encode_refuses_non_integer_layer_arrays():
-    # float masks used to pass validate and be truncated: 2-bit masks of
+    # float masks used to pass the layer's checks and be truncated: 2-bit masks of
     # 0.9 * (+-1) encoded as all zeros. Now the layer is refused when built.
     layer = _hand_layer([1, -1] * 4 + [1], mask_bits=2)
     for field, value in [("masks", np.full((1, 1, 9), 0.9)),
@@ -398,7 +399,7 @@ def test_encode_refuses_non_integer_layer_arrays():
 
 
 def test_layer_checks_itself_when_built():
-    # validate runs whenever a layer is built, dataclasses.replace included,
+    # a layer checks itself whenever it is built, dataclasses.replace included,
     # so encode is never handed an invalid one. An int8 mask of -128 passed
     # as |-128| wraps to -128.
     layer = _hand_layer([1, -1] * 4 + [1], mask_bits=2)
@@ -408,6 +409,10 @@ def test_layer_checks_itself_when_built():
                     dict(biases=np.array([2048], np.int16)),
                     dict(mask_bits=256),
                     dict(shift=128),
+                    # whole numbers only: these were held as given, and
+                    # encode failed on the shift
+                    dict(mask_bits=2.5),
+                    dict(shift=2.5),
                     # out and in come from scalars, which must be 2-D
                     dict(scalars=np.array([200], np.uint8)),
                     dict(masks=np.ones((1, 2, 9), np.int8)),
@@ -415,6 +420,9 @@ def test_layer_checks_itself_when_built():
         field = next(iter(changes))
         with pytest.raises(ValueError, match=f"^{field} "):
             dataclasses.replace(layer, **changes)
+    whole = dataclasses.replace(layer, mask_bits=2.0, shift=np.int64(-3))
+    assert type(whole.mask_bits) is type(whole.shift) is int
+    assert whole == dataclasses.replace(layer, shift=-3)
 
 
 def test_compressed_model_checks_itself_against_its_network():
@@ -464,6 +472,38 @@ def test_build_compressed_model_checks_profile_length():
         build_compressed_model(net, model, [3])
     with pytest.raises(ValueError):
         build_compressed_model(net, model, [3, None])
+
+
+def test_non_integral_profiles_are_refused():
+    # int() truncated them: [2.5] built a 2-bit layer and [1.9] a 1-bit one
+    net = parse_network("input 1 6 6\nconv 2 tap\n")
+    model = init_float_model(net, np.random.default_rng(25))
+    for profile in ([2.5], [1.9]):
+        for call in (lambda: build_compressed_model(net, model, profile),
+                     lambda: model_sizes(net, profile), lambda: model_ratio(net, profile)):
+            with pytest.raises(ValueError, match=rf"^mask_bits must be an integer in \(1, 5\), "
+                                                 rf"got {profile[0]}$"):
+                call()
+    assert build_compressed_model(net, model, [2.0]) == build_compressed_model(net, model, [2])
+
+
+def test_dense_head_is_held_as_float32():
+    # a float64 head used to be kept as given, so the container was not
+    # equal to its own round trip and its logits moved across a save and load
+    net = parse_network("input 2 8 8\nconv 3 pad=1 tap\npool\nflatten\ndense 2\n")
+    model = init_float_model(net, np.random.default_rng(26))
+    built = build_compressed_model(net, model, [3])
+    wide = dataclasses.replace(built, dense=model.dense)
+    assert model.dense[0][0].dtype == np.float64
+    again = decode(encode(wide))
+    assert again == wide == built
+    image = np.random.default_rng(27).random(net.input_shape)
+    logits = [forward(net, m, image, "dequantized")[1] for m in (wide, again)]
+    assert logits[0].tobytes() == logits[1].tobytes()
+    # a float32 head is held as it is, read-only
+    held = dataclasses.replace(built, dense=again.dense).dense[0]
+    assert held[0] is again.dense[0][0] and held[1] is again.dense[0][1]
+    assert not held[0].flags.writeable
 
 
 def test_build_compressed_model_records_source_checksum():

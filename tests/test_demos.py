@@ -1,7 +1,8 @@
 """Smoke runs of the fast demos the README points to.
 
-retrain_recovery.py (about 30 s) and retrieval_grid.py (about 20 s) are
-too slow for this suite and are left out.
+retrain_recovery.py (about 10 s) and retrieval_grid.py (about 7 s on 2
+vCPUs) are too slow for this suite and are left out; CI runs them in a
+step of their own.
 """
 
 import os

@@ -715,6 +715,24 @@ def test_converting_a_non_finite_real_descriptor_is_refused():
     assert quantize_descriptor(big).values.tolist() == [255, 0]
 
 
+def test_zero_length_descriptors_are_refused(tmp_path):
+    # binarizing one divided 0 by 0, quantizing one gave an empty byte
+    # descriptor, and a dimension-0 file saved, loaded and was searched
+    empty = Descriptor("real", np.array([]))
+    for convert in (quantize_descriptor, binarize_descriptor):
+        with pytest.raises(ValueError, match="^real descriptor is empty$"):
+            convert(empty)
+    path = tmp_path / "empty.qds"
+    for precision, meta in (("real", {}), ("byte", {"scale": 1.0}), ("bit", {"threshold": 0.0})):
+        values = np.array([], np.float64 if precision == "real" else np.uint8)
+        with pytest.raises(EncodeError, match="^descriptor length 0 is below 1$"):
+            save_descriptors(path, {"a": Descriptor(precision, values, **meta)})
+        assert not path.exists()
+    path.write_bytes(_qds(0, [("a", 0, b"", 0.0)]))
+    with pytest.raises(CorruptionError, match="descriptor length 0 is below 1$"):
+        load_descriptors(path)
+
+
 def test_stacking_bit_flags_other_than_zero_and_one_is_refused(tmp_path):
     # packbits used to fold a flag of 2 to 1: [2, 0, 1] saved and loaded as [1, 0, 1]
     table = {"a": Descriptor("bit", np.array([0, 1, 1], np.uint8), threshold=0.5),

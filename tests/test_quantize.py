@@ -398,6 +398,12 @@ def test_quantize_layer_matches_the_row_formulas_with_equal_stats(shift):
             assert np.array_equal(layer.biases, bq)
             assert layer.stats == stats, (m, policy)
             saturations += stats.scalar_saturations
+            # the scalar helpers round onto the same grid, saturating codes included
+            alphas = layer_alphas_masks(weights, m, policy)[0]
+            codes = layer.scalars.ravel()
+            picks = np.r_[np.arange(0, codes.size, 97), np.flatnonzero(codes == SCALAR_MAX)[:50]]
+            assert [quantize_scalar(a, e) for a in alphas[picks]] == codes[picks].tolist()
+            assert [quantize_bias(b, e) for b in biases] == layer.biases.tolist()
     assert (saturations > 0) == (shift is not None)  # -3 clamps scalars
 
 
@@ -416,8 +422,11 @@ def test_one_saturation_rule_serves_both_shift_sources():
             given = finish_layer(fit_layer(weights, np.zeros(1), 1), e).stats
             assert given.shift_saturated == (peak >= 2.0 ** e), (value, e)
             assert given.degenerate == (peak == 0), (value, e)
-    with pytest.raises(ValueError, match=r"^shift 8 outside \[-8, 7\]"):
-        finish_layer(fit_layer(np.ones((1, 1, 3, 3)), np.zeros(1), 1), SHIFT_MAX + 1)
+    # a given shift is checked before any arithmetic: -2000 overflowed
+    # 2.0 ** (8 - e), and 2.5 was truncated to 2
+    for shift in (SHIFT_MAX + 1, -2000, 2.5):
+        with pytest.raises(ValueError, match=rf"^shift {shift} outside \[-8, 7\]"):
+            finish_layer(fit_layer(np.ones((1, 1, 3, 3)), np.zeros(1), 1), shift)
 
 
 @pytest.mark.parametrize("errors", [{}, {"all": "raise", "under": "ignore"}])
