@@ -106,13 +106,13 @@ def parse_profile(text: str, n_layers: int | None = None) -> list[int | None]:
     return profile
 
 
-def _checked_profile(net: NetworkDefinition, profile, float_ok: bool = False) -> list:
+def _checked_profile(net: NetworkDefinition, profile) -> list[int]:
     prof = list(profile)
     if len(prof) != len(net.conv_specs):
         raise ValueError(f"profile covers {len(prof)} layers, network has {len(net.conv_specs)}")
-    if None in prof and not float_ok:
+    if None in prof:
         raise ValueError("float-layer sentinel not allowed here; profile must be all-integer")
-    return [None if m is None else mask_width(m) for m in prof]
+    return [mask_width(m) for m in prof]
 
 
 def model_ratio(net: NetworkDefinition, profile) -> float:
@@ -217,7 +217,8 @@ class CompressedModel:
         if not isinstance(other, CompressedModel):
             return NotImplemented
         return (self.network == other.network
-                and self.layers == other.layers  # equal networks: equal dense counts
+                and self.layers == other.layers
+                and len(self.dense) == len(other.dense)
                 and all(np.array_equal(a, c) and np.array_equal(b, d)
                         for (a, b), (c, d) in zip(self.dense, other.dense))
                 and self.policy == other.policy
@@ -237,7 +238,8 @@ def quantize_conv_layers(net: NetworkDefinition, conv, profile, policy: str = DE
         raise ValueError(f"unknown policy {policy!r}")
     if shift_scope not in SHIFT_SCOPES:
         raise ValueError(f"shift_scope must be one of {SHIFT_SCOPES}, got {shift_scope!r}")
-    profile = _checked_profile(net, profile, float_ok=True)
+    if len(profile) != len(net.conv_specs):
+        raise ValueError(f"profile covers {len(profile)} layers, network has {len(net.conv_specs)}")
     if shift_scope == "layer":
         return [None if m is None else quantize_layer(w, b, m, policy)
                 for (w, b), m in zip(conv, profile)]

@@ -7,8 +7,8 @@ SCALAR_BITS mantissa a against one per-layer shift e in [SHIFT_MIN, SHIFT_MAX]:
     alpha_hat = a * 2**(e - 8),  a in 0..SCALAR_MAX
 
 Biases are BIAS_BITS signed integers on the same grid. This module states
-that format (the QCM2 number format) once: _to_grid rounds onto the grid,
-_grid_step reads it back, and mask_width and check_shift accept only whole
+that format (the QCM2 number format) once: _grid_step is the grid's step,
+_to_grid rounds onto it, and mask_width and check_shift accept only whole
 numbers (2.0, not 2.5), which QuantizedLayer holds as int.
 
 Two 1-bit mask rules are provided:
@@ -35,7 +35,6 @@ block's alphas; the weights are scanned only when an alpha is not finite.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -57,8 +56,7 @@ BLOCK_KERNELS = 16384
 
 
 def _whole_in(value, lo: int, hi: int, error: str) -> int:
-    """value as an int if it is a whole number in [lo, hi], else ValueError(error)."""
-    if not (isinstance(value, numbers.Real) and lo <= value <= hi and value % 1 == 0):
+    if not (lo <= value <= hi and value % 1 == 0):
         raise ValueError(error)
     return int(value)  # a whole number, so nothing is truncated
 
@@ -119,17 +117,17 @@ def global_shift(alphas) -> int:
     return compute_layer_shift(np.array([0.0, *(a.max() for a in alphas)])).e
 
 
-def _to_grid(values, e: int, lo: int, hi: int) -> tuple[np.ndarray, int]:
-    """Codes of values on the 2**(e-8) grid, rounded half away from zero and
-    clipped to lo..hi, and how many of them the clip changed."""
-    raw = round_half_away(np.multiply(values, 2.0 ** (8 - e)))
-    codes = np.clip(raw, lo, hi)
-    return codes, int(np.count_nonzero(raw != codes))
-
-
 def _grid_step(e: int) -> float:
     """The value of one code on the 2**(e-8) grid."""
     return 2.0 ** (e - 8)
+
+
+def _to_grid(values, e: int, lo: int, hi: int) -> tuple[np.ndarray, int]:
+    """Codes of values on the 2**(e-8) grid, rounded half away from zero and
+    clipped to lo..hi, and how many of them the clip changed."""
+    raw = round_half_away(np.divide(values, _grid_step(e)))  # exact: the step is a power of 2
+    codes = np.clip(raw, lo, hi)
+    return codes, int(np.count_nonzero(raw != codes))
 
 
 def quantize_scalar(alpha: float, e: int) -> int:
@@ -272,11 +270,12 @@ class QuantStats:
 
 @dataclass(frozen=True, eq=False)
 class QuantizedLayer:
-    """One conv layer in compressed form, immutable, checked when built (__post_init__).
+    """One conv layer in compressed form, immutable: arrays read-only once built.
 
     scalars: (out, in) uint8 mantissas; masks: (out, in, 9) int8;
     biases: (out,) int16 in [BIAS_MIN, BIAS_MAX]; shift: shared exponent e.
     Stride and padding are the network's (its conv_specs), not the layer's.
+    Building one (dataclasses.replace included) runs __post_init__'s checks.
     """
 
     mask_bits: int
@@ -285,6 +284,15 @@ class QuantizedLayer:
     masks: np.ndarray
     biases: np.ndarray
     stats: QuantStats | None = field(default=None, compare=False, repr=False)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, QuantizedLayer):
+            return NotImplemented
+        return (self.mask_bits == other.mask_bits
+                and self.shift == other.shift
+                and np.array_equal(self.scalars, other.scalars)
+                and np.array_equal(self.masks, other.masks)
+                and np.array_equal(self.biases, other.biases))
 
     def __post_init__(self) -> None:
         """Hold mask_bits and shift as int, check every field, make the arrays read-only."""
@@ -311,15 +319,6 @@ class QuantizedLayer:
             raise ValueError(f"biases outside the {BIAS_BITS}-bit signed range")
         for array in (self.scalars, self.masks, self.biases):
             array.flags.writeable = False
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QuantizedLayer):
-            return NotImplemented
-        return (self.mask_bits == other.mask_bits
-                and self.shift == other.shift
-                and np.array_equal(self.scalars, other.scalars)
-                and np.array_equal(self.masks, other.masks)
-                and np.array_equal(self.biases, other.biases))
 
 
 class LayerFit(NamedTuple):
