@@ -1,5 +1,6 @@
 """Pooled descriptors: region grids, the pooling chain, precisions, file IO."""
 
+import hashlib
 import re
 import struct
 import tracemalloc
@@ -11,6 +12,7 @@ import pytest
 import qnip
 from qnip.binfile import CorruptionError, EncodeError, Reader, TruncationError
 from qnip.codec import build_compressed_model
+from qnip.datasets import make_retrieval_corpus
 from qnip.descriptor import (
     FULL_FRAME,
     Descriptor,
@@ -229,6 +231,55 @@ def test_extract_rnip_without_rotations_is_sensitive_to_them():
     rotated = extract_rnip(net, model, rotate90(image, 1), crop_levels=[1, 2],
                            rotations=False)
     assert not np.array_equal(plain.values, rotated.values)
+
+
+# sha256 of descriptor bytes, taken before nip_pool pooled the whole orbit in
+# one pass and resize_bilinear gathered each sampled row once: a change to
+# how a descriptor is computed is checked against stored bytes. Each mode's
+# digest runs nip at roi levels (1, 2) and (1, 2, 3), and rnip at crop levels
+# (1, 2) and (1, 2, 3) with rotations on and off, over a 32-px corpus image,
+# a 45x32 image and a 96-px one (the resize path).
+GOLDEN_DESCRIPTORS = {
+    "float nip":
+        "38a7b83adb52bfacb02f896f907d0d648064938a36f1e84024e49bef78f05c24",
+    "float rnip":
+        "3adbd56ae0b8dab5701ab1eb814bc9aa7fa1ca19b918ff9e7b86932b2e7bdca3",
+    "dequantized nip":
+        "c198be8c156fd6dcf1ca0daa7435f8a1119d7a9bd5223b69f1c2262808470edd",
+    "dequantized rnip":
+        "297eb2bd22c0c673daac6dccdfb98861ba13b956334cf6d321b3bbac4625665d",
+    "integer nip":
+        "74efd50436e0d4df581e1993e71b01ec75bbb1a5260ee392ee73f0de974d8738",
+    "integer rnip":
+        "26b84e3154738f2764d46ecbb439d00498860f55b087527b2fcecf60a1456958",
+    "nip_pool, non-contiguous taps":
+        "db9ed54bafaec79b8295aefd85ebce54031ef6869cb3cd8af4aeec889967c27e",
+}
+
+
+def test_descriptors_match_golden_digests():
+    net, model = _toy_setup(seed=2020)
+    compressed = build_compressed_model(net, model, [2, 1, 3])
+    big = next(iter(make_retrieval_corpus(1, 1, 96, seed=2020).values()))
+    images = [next(iter(make_retrieval_corpus(1, 1, 32, seed=2021).values())),
+              big[:, 20:65, 40:72], big]
+    exponents = calibrate_activation_exponents(net, compressed, orbit_inputs(net, images[0])[:, 0])
+    got = {}
+    for mode, weights, exps in (("float", model, None), ("dequantized", compressed, None),
+                                ("integer", compressed, exponents)):
+        nip, rnip = hashlib.sha256(), hashlib.sha256()
+        for image in images:
+            for levels in ((1, 2), (1, 2, 3)):
+                nip.update(extract_nip(net, weights, image, mode, levels, exps).values.tobytes())
+                for rotations in (True, False):
+                    rnip.update(extract_rnip(net, weights, image, mode, levels, rotations,
+                                             exps).values.tobytes())
+        got[f"{mode} nip"], got[f"{mode} rnip"] = nip.hexdigest(), rnip.hexdigest()
+    taps = np.maximum(np.random.default_rng(2020).normal(size=(3, 4, 14, 9, 10)), 0.0)
+    taps = taps.transpose(1, 0, 2, 4, 3)[:, :, ::2]  # (4, 3, 7, 10, 9), strided
+    got["nip_pool, non-contiguous taps"] = hashlib.sha256(
+        nip_pool(taps, roi_grid((1, 2, 3))).values.tobytes()).hexdigest()
+    assert got == GOLDEN_DESCRIPTORS
 
 
 def test_sized_input_resizes_only_when_needed():
