@@ -119,16 +119,14 @@ def nip_pool(taps, rects=(FULL_FRAME,)) -> Descriptor:
                              f"got taps of shape {taps.shape} and {len(rects)} rects")
     if taps.min(initial=0.0) < 0.0:
         raise ValueError("feature maps must be non-negative (post-ReLU)")
-    channels = taps.shape[2]
+    rotations, inputs, channels, h, w = taps.shape
+    roots = np.sqrt(taps, out=np.empty(taps.shape))  # C-contiguous, as a crop's copy is
     # regions input-major, then rect: the mean's summation order fixes its bits
-    pooled = np.empty((taps.shape[1], len(rects), channels))
-    per_rotation = []
-    for maps in taps:
-        roots = np.sqrt(maps)
-        for k, rect in enumerate(rects):
-            pooled[:, k] = ops.crop(roots, rect).mean(axis=(2, 3)) ** 2
-        per_rotation.append(pooled.reshape(-1, channels).mean(axis=0))
-    d = np.max(per_rotation, axis=0)
+    pooled = np.empty((rotations, inputs, len(rects), channels))
+    for k, rect in enumerate(rects):
+        whole = ops.crop_bounds(rect, h, w) == (0, h, 0, w)  # reduce it uncopied
+        pooled[:, :, k] = (roots if whole else ops.crop(roots, rect)).mean(axis=(3, 4)) ** 2
+    d = pooled.reshape(rotations, -1, channels).mean(axis=1).max(axis=0)
     norm = float(np.sqrt(np.sum(d * d)))
     if norm > 0.0:
         d = d / norm

@@ -1,11 +1,15 @@
 """Dense tensor primitives for small CNN forward math.
 
 Everything works on plain numpy arrays in channels x height x width layout
-(float64 unless stated otherwise) and is pure: no hidden state, and
-bit-identical output for bit-identical input. Convolutions are fixed at
-3x3 — the compression scheme only covers that kernel size.
+(float64 unless stated otherwise) and is pure: no state that can change a
+result, and bit-identical output for bit-identical input. The one state
+kept, resize_bilinear's memo of read-only sample grids per axis size,
+only saves rebuilding them. Convolutions are fixed at 3x3 — the
+compression scheme only covers that kernel size.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -58,13 +62,11 @@ def im2col(x: np.ndarray, stride: int = 1, padding: int = 0,
         framed = np.zeros((c, x.shape[1] + 2 * padding, x.shape[2] + 2 * padding), x.dtype)
         framed[:, padding:-padding, padding:-padding] = x
         x = framed
+    x = np.ascontiguousarray(x)  # a copy only for a strided input
     s0, s1, s2 = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(c, h_out, w_out, KERNEL_SIZE, KERNEL_SIZE),
-        strides=(s0, s1 * stride, s2 * stride, s1, s2),
-        writeable=False,
-    ).transpose(0, 3, 4, 1, 2)
+    # the window view, built directly: as_strided costs several times more per call
+    windows = np.ndarray((c, h_out, w_out, KERNEL_SIZE, KERNEL_SIZE), x.dtype, x,
+                         strides=(s0, s1 * stride, s2 * stride, s1, s2)).transpose(0, 3, 4, 1, 2)
     if out is None:
         return np.ascontiguousarray(windows.reshape(shape)), (h_out, w_out)
     out.reshape(windows.shape)[...] = windows
@@ -168,24 +170,36 @@ def crop(x: np.ndarray, rect: tuple[float, float, float, float]) -> np.ndarray:
     """
     if x.ndim < 3:
         raise ShapeError(f"input must be (..., C, H, W), got shape {x.shape}")
+    r0, r1, c0, c1 = crop_bounds(rect, *x.shape[-2:])
+    return x[..., r0:r1, c0:c1].copy()
+
+
+def crop_bounds(rect: tuple[float, float, float, float], h: int,
+                w: int) -> tuple[int, int, int, int]:
+    """Pixel bounds (r0, r1, c0, c1) of a normalized rect on an h x w grid:
+    crop's one rounding rule. Raises as crop does."""
     x0, y0, x1, y1 = rect
     if not (0.0 <= x0 < x1 <= 1.0 and 0.0 <= y0 < y1 <= 1.0):
         raise ValueError(f"crop rect must satisfy 0 <= lo < hi <= 1, got {rect}")
-    h, w = x.shape[-2:]
     r0, r1 = int(round(y0 * h)), int(round(y1 * h))
     c0, c1 = int(round(x0 * w)), int(round(x1 * w))
     if r1 <= r0 or c1 <= c0:
         raise DegenerateCropError(f"rect {rect} rounds to empty region on {h}x{w}")
-    return x[..., r0:r1, c0:c1].copy()
+    return r0, r1, c0, c1
 
 
+@functools.lru_cache(maxsize=64)
 def _axis_samples(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # half-pixel-center convention; clamped at the border
+    # half-pixel-center convention; clamped at the border. Memoized, so the
+    # arrays are read-only: a write would change every later resize
     src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
     src = np.clip(src, 0.0, n_in - 1.0)
     lo = np.floor(src).astype(np.intp)
     hi = np.minimum(lo + 1, n_in - 1)
-    return lo, hi, src - lo
+    samples = lo, hi, src - lo
+    for array in samples:
+        array.flags.writeable = False
+    return samples
 
 
 def resize_bilinear(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -201,8 +215,9 @@ def resize_bilinear(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     y_lo, y_hi, ty = _axis_samples(x.shape[1], out_h)
     x_lo, x_hi, tx = _axis_samples(x.shape[2], out_w)
     x = np.asarray(x, dtype=np.float64)
-    top = x[:, y_lo][:, :, x_lo] * (1.0 - tx) + x[:, y_lo][:, :, x_hi] * tx
-    bot = x[:, y_hi][:, :, x_lo] * (1.0 - tx) + x[:, y_hi][:, :, x_hi] * tx
+    rows_lo, rows_hi = x[:, y_lo], x[:, y_hi]  # each sampled row gathered once
+    top = rows_lo[:, :, x_lo] * (1.0 - tx) + rows_lo[:, :, x_hi] * tx
+    bot = rows_hi[:, :, x_lo] * (1.0 - tx) + rows_hi[:, :, x_hi] * tx
     return top * (1.0 - ty)[:, None] + bot * ty[:, None]
 
 

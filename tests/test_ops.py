@@ -18,6 +18,7 @@ from qnip.ops import (
     rotate90,
     softmax_cross_entropy,
 )
+from qnip.ops import _axis_samples
 
 
 def conv2d_loops(x, weights, bias, stride=1, padding=0):
@@ -161,6 +162,20 @@ def test_im2col_matches_loop_gather_exactly(dtype):
                 assert x.tobytes() == before.tobytes()
 
 
+def test_im2col_gathers_a_contiguous_slice_from_its_own_start():
+    # big[1:3] is C-contiguous but starts past its base's first byte: the
+    # window view must be laid over the slice, read-only or not
+    big = np.random.default_rng(13).normal(size=(4, 6, 7))
+    for writeable in (True, False):
+        x = big[1:3]
+        x.flags.writeable = writeable
+        assert x.flags.c_contiguous and not np.shares_memory(x, big[0])
+        for padding in (0, 1):
+            for stride in (1, 2):
+                cols, _ = im2col(x, stride, padding)
+                assert cols.tobytes() == im2col_loops(x, stride, padding).tobytes()
+
+
 def test_im2col_and_col2im_write_into_a_dirty_out_as_they_allocate():
     rng = np.random.default_rng(12)
     for padding in (0, 1):
@@ -300,6 +315,18 @@ def test_resize_bilinear_range_bounded():
     y = resize_bilinear(x, 21, 13)
     assert y.min() >= x.min() - 1e-12
     assert y.max() <= x.max() + 1e-12
+
+
+def test_resize_bilinear_sample_grids_are_read_only():
+    # the grids are memoized per (n_in, n_out), so a write would reach every
+    # later resize of that size; it must raise instead
+    x = np.random.default_rng(7).normal(size=(2, 11, 11))
+    want = resize_bilinear(x, 32, 32)
+    assert _axis_samples(11, 32) is _axis_samples(11, 32)
+    for array in _axis_samples(11, 32):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    assert resize_bilinear(x, 32, 32).tobytes() == want.tobytes()
 
 
 def test_softmax_cross_entropy_hand_values():
