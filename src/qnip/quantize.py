@@ -8,8 +8,9 @@ SCALAR_BITS mantissa a against one per-layer shift e in [SHIFT_MIN, SHIFT_MAX]:
 
 Biases are BIAS_BITS signed integers on the same grid. This module states
 that format (the QCM2 number format) once: _grid_step is the grid's step,
-_to_grid rounds onto it, and mask_width and check_shift accept only whole
-numbers (2.0, not 2.5), which QuantizedLayer holds as int.
+through which every scalar and bias helper checks its shift, _to_grid
+rounds onto it, and mask_width and check_shift accept only whole numbers
+(2.0, not 2.5), which QuantizedLayer holds as int.
 
 Two 1-bit mask rules are provided:
 
@@ -118,8 +119,9 @@ def global_shift(alphas) -> int:
 
 
 def _grid_step(e: int) -> float:
-    """The value of one code on the 2**(e-8) grid."""
-    return 2.0 ** (e - 8)
+    """The value of one code on the 2**(e-8) grid; ValueError unless e is a
+    whole shift in [SHIFT_MIN, SHIFT_MAX] (check_shift)."""
+    return 2.0 ** (check_shift(e) - 8)
 
 
 def _to_grid(values, e: int, lo: int, hi: int) -> tuple[np.ndarray, int]:
@@ -350,13 +352,15 @@ def fit_layer(weights: np.ndarray, biases: np.ndarray, mask_bits: int,
 
 def finish_layer(fit: LayerFit, shift: int | None = None) -> QuantizedLayer:
     """The QuantizedLayer of a fit: the shift (the layer's own, or the
-    given one), 8-bit scalars and 12-bit biases on its grid. Takes over
-    fit.masks. The shift saturates when the peak alpha is not below
-    2**shift, which under the layer's own shift happens only at SHIFT_MAX.
+    given one), 8-bit scalars and 12-bit biases on its grid. The shift
+    saturates when the peak alpha is not below 2**shift, which under the
+    layer's own shift happens only at SHIFT_MAX.
 
     A kernel whose mantissa rounds to zero dequantizes to zero no matter
     what its mask says, so its mask payload is canonicalized to zeros
-    (1-bit masks excepted: those stay +-1 by format).
+    (1-bit masks excepted: those stay +-1 by format). That happens in a
+    copy: the fit is never written, so it can be finished again. Without
+    a dead kernel the layer shares fit.masks, which it makes read-only.
     """
     mask_bits, alphas, masks, b = fit
     auto = compute_layer_shift(alphas)
@@ -364,8 +368,9 @@ def finish_layer(fit: LayerFit, shift: int | None = None) -> QuantizedLayer:
     scalars, scalar_saturations = _to_grid(alphas, e, 0, SCALAR_MAX)
     biases, bias_saturations = _to_grid(b, e, BIAS_MIN, BIAS_MAX)
     scalars = scalars.astype(np.uint8)
-    if mask_bits >= 2:
-        masks[scalars == 0] = 0  # dead kernels carry no payload
+    if mask_bits >= 2 and not scalars.all():  # dead kernels carry no payload
+        masks = masks.copy()
+        masks[scalars == 0] = 0
     stats = QuantStats(scalar_saturations, bias_saturations,
                        bool(alphas.max() >= 2.0 ** e), auto.degenerate)
     return QuantizedLayer(mask_bits=mask_bits, shift=e, scalars=scalars, masks=masks,

@@ -152,6 +152,18 @@ def test_scalar_quantization_clamps():
         quantize_scalar(-1.0, 0)
 
 
+def test_scalar_and_bias_helpers_refuse_a_shift_off_the_format():
+    # a shift is a whole number in [SHIFT_MIN, SHIFT_MAX]: 2.5 once gave
+    # quantize_scalar(0.9, 2.5) == 41 and 9 gave quantize_bias(0.1, 9) == 0
+    for e in (2.5, SHIFT_MIN - 1, SHIFT_MAX + 2, -0.5):
+        for helper, value in ((quantize_scalar, 0.9), (quantize_bias, 0.1),
+                              (dequantize_scalar, 3), (dequantize_bias, 3)):
+            with pytest.raises(ValueError, match="shift"):
+                helper(value, e)
+    assert quantize_scalar(0.9, 2.0) == quantize_scalar(0.9, 2) == 58
+    assert quantize_bias(0.1, SHIFT_MAX) == 0 and quantize_bias(0.1, SHIFT_MIN) == 2048 - 1
+
+
 def test_scalar_round_trip_error():
     rng = np.random.default_rng(13)
     for _ in range(500):
@@ -405,6 +417,29 @@ def test_quantize_layer_matches_the_row_formulas_with_equal_stats(shift):
             assert [quantize_scalar(a, e) for a in alphas[picks]] == codes[picks].tolist()
             assert [quantize_bias(b, e) for b in biases] == layer.biases.tolist()
     assert (saturations > 0) == (shift is not None)  # -3 clamps scalars
+
+
+def test_finish_layer_leaves_its_fit_as_it_was():
+    # at shift 5 (step 1/8) the small kernels' mantissas round to zero, so
+    # their masks are zeroed in the layer; the fit keeps its own, and a
+    # second finish of it equals a finish of a fresh fit
+    rng = np.random.default_rng(41)
+    weights = rng.normal(size=(4, 3, 3, 3)) * 0.02
+    weights[0] *= 100.0
+    biases = rng.normal(size=4)
+    fit = fit_layer(weights, biases, 2)
+    before = [array.tobytes() for array in fit[1:]]
+    first = finish_layer(fit, 5)
+    dead = first.scalars == 0
+    assert dead.any() and not dead.all()
+    assert not first.masks[dead].any() and fit.masks[dead].any()
+    assert [array.tobytes() for array in fit[1:]] == before
+    second = finish_layer(fit, 5)
+    fresh = finish_layer(fit_layer(weights, biases, 2), 5)
+    assert second == first == fresh and second.stats == fresh.stats
+    assert second.masks.tobytes() == fresh.masks.tobytes()
+    assert finish_layer(fit) == quantize_layer(weights, biases, 2)
+    assert [array.tobytes() for array in fit[1:]] == before
 
 
 def test_one_saturation_rule_serves_both_shift_sources():
