@@ -9,6 +9,8 @@ The pooling chain, per rotation r, region j and channel c::
 followed by L2 normalization. The rotation orbit is the four quarter
 turns, so rotating the input by 90 degrees only permutes the r axis and
 the final max is bit-identical — the flagship property of the scheme.
+nip_pool runs it in one pass over the whole orbit, one crop per rect,
+adding in a per-region loop's order, so it has that loop's bits.
 
 Two front ends feed that chain one (rotations, inputs, C', H', W') array
 of tap maps: one engine.forward over their whole orbit (orbit_inputs).

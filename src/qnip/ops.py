@@ -2,10 +2,9 @@
 
 Everything works on plain numpy arrays in channels x height x width layout
 (float64 unless stated otherwise) and is pure: no state that can change a
-result, and bit-identical output for bit-identical input. The one state
-kept, resize_bilinear's memo of read-only sample grids per axis size,
-only saves rebuilding them. Convolutions are fixed at 3x3 — the
-compression scheme only covers that kernel size.
+result (resize_bilinear memoizes only read-only sample grids), and
+bit-identical output for bit-identical input. Convolutions are fixed at
+3x3 — the compression scheme only covers that kernel size.
 """
 from __future__ import annotations
 
@@ -174,8 +173,7 @@ def crop(x: np.ndarray, rect: tuple[float, float, float, float]) -> np.ndarray:
     return x[..., r0:r1, c0:c1].copy()
 
 
-def crop_bounds(rect: tuple[float, float, float, float], h: int,
-                w: int) -> tuple[int, int, int, int]:
+def crop_bounds(rect: tuple[float, float, float, float], h: int, w: int) -> tuple[int, ...]:
     """Pixel bounds (r0, r1, c0, c1) of a normalized rect on an h x w grid:
     crop's one rounding rule. Raises as crop does."""
     x0, y0, x1, y1 = rect

@@ -8,9 +8,8 @@ SCALAR_BITS mantissa a against one per-layer shift e in [SHIFT_MIN, SHIFT_MAX]:
 
 Biases are BIAS_BITS signed integers on the same grid. This module states
 that format (the QCM2 number format) once: _grid_step is the grid's step,
-through which every scalar and bias helper checks its shift, _to_grid
-rounds onto it, and mask_width and check_shift accept only whole numbers
-(2.0, not 2.5), which QuantizedLayer holds as int.
+_to_grid rounds onto it, and mask_width and check_shift accept only whole
+numbers (2.0, not 2.5), which QuantizedLayer holds as int.
 
 Two 1-bit mask rules are provided:
 
@@ -358,9 +357,8 @@ def finish_layer(fit: LayerFit, shift: int | None = None) -> QuantizedLayer:
 
     A kernel whose mantissa rounds to zero dequantizes to zero no matter
     what its mask says, so its mask payload is canonicalized to zeros
-    (1-bit masks excepted: those stay +-1 by format). That happens in a
-    copy: the fit is never written, so it can be finished again. Without
-    a dead kernel the layer shares fit.masks, which it makes read-only.
+    (1-bit masks excepted: those stay +-1 by format) in a copy: the fit
+    is never written. Otherwise the layer shares fit.masks (read-only).
     """
     mask_bits, alphas, masks, b = fit
     auto = compute_layer_shift(alphas)

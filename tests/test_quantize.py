@@ -153,15 +153,15 @@ def test_scalar_quantization_clamps():
 
 
 def test_scalar_and_bias_helpers_refuse_a_shift_off_the_format():
-    # a shift is a whole number in [SHIFT_MIN, SHIFT_MAX]: 2.5 once gave
-    # quantize_scalar(0.9, 2.5) == 41 and 9 gave quantize_bias(0.1, 9) == 0
+    # a shift is a whole number in [SHIFT_MIN, SHIFT_MAX]; off that, no code
+    # exists on its grid, so the helpers refuse it as finish_layer does
     for e in (2.5, SHIFT_MIN - 1, SHIFT_MAX + 2, -0.5):
         for helper, value in ((quantize_scalar, 0.9), (quantize_bias, 0.1),
                               (dequantize_scalar, 3), (dequantize_bias, 3)):
             with pytest.raises(ValueError, match="shift"):
                 helper(value, e)
     assert quantize_scalar(0.9, 2.0) == quantize_scalar(0.9, 2) == 58
-    assert quantize_bias(0.1, SHIFT_MAX) == 0 and quantize_bias(0.1, SHIFT_MIN) == 2048 - 1
+    assert quantize_bias(0.1, SHIFT_MAX) == 0 and quantize_bias(0.1, SHIFT_MIN) == BIAS_MAX
 
 
 def test_scalar_round_trip_error():
